@@ -122,7 +122,8 @@ class VirtualClock(Clock):
     unless it is parked inside :meth:`sleep` or :meth:`wait`.  When the
     active count reaches zero, the thread that parked last advances the
     clock to the earliest pending deadline and wakes the threads due then.
-    Predicate waiters are re-checked synchronously inside
+    A sleep by the only active participant that ends strictly before every
+    pending deadline advances the clock without parking.  Predicate waiters are re-checked synchronously inside
     :meth:`notify_all`, so a notifier can never race the advance logic.
     """
 
@@ -140,9 +141,19 @@ class VirtualClock(Clock):
         return self._now
 
     def sleep(self, duration_ms: float) -> None:
-        with self.cond:
-            waiter = _Waiter(None, self._now + max(duration_ms, 0.0), self._lock)
-            heapq.heappush(self._timers, (waiter.deadline, next(self._tiebreak), waiter))
+        with self._lock:
+            deadline = self._now + max(duration_ms, 0.0)
+            if self._active == 1 and getattr(self._local, "depth", 0):
+                # The caller is the only active participant, so parking would
+                # advance straight to the earliest timer.  When that is ours
+                # alone, advance without parking.  A tie takes the slow path,
+                # which wakes every waiter due at that instant in order.
+                earliest = self._earliest_timer()
+                if earliest is None or deadline < earliest:
+                    self._now = deadline
+                    return
+            waiter = _Waiter(None, deadline, self._lock)
+            heapq.heappush(self._timers, (deadline, next(self._tiebreak), waiter))
             self._park()
             while waiter.state == _WAITING:
                 waiter.cv.wait()
@@ -220,20 +231,23 @@ class VirtualClock(Clock):
                 kept.append(waiter)
         self._pred_waiters = kept
 
-    def _advance_if_idle(self) -> None:
-        if self._active > 0:
-            return
+    def _earliest_timer(self) -> float | None:
         # Drop timers whose waiters were already released or timed out.
         while self._timers and self._timers[0][2].state != _WAITING:
             heapq.heappop(self._timers)
-        if not self._timers:
+        return self._timers[0][0] if self._timers else None
+
+    def _advance_if_idle(self) -> None:
+        if self._active > 0:
+            return
+        deadline = self._earliest_timer()
+        if deadline is None:
             if self._pred_waiters:
                 raise ClockStalledError(
                     "all threads blocked with no pending deadline "
                     f"({len(self._pred_waiters)} predicate waiter(s))"
                 )
             return
-        deadline = self._timers[0][0]
         self._now = deadline
         woke_pred_waiter = False
         while self._timers and self._timers[0][0] == deadline:

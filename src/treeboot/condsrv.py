@@ -129,7 +129,9 @@ class ConditionStore:
             if flipped:
                 self._last_progress_ms = now
                 still_blocked: list[_Waiter] = []
-                for waiter in sorted(self._waiters, key=lambda w: w.seq):
+                # _waiters is in registration order: appended in increasing
+                # seq under the lock, and only ever filtered in order.
+                for waiter in self._waiters:
                     waiter.unmet -= flipped
                     if waiter.unmet:
                         still_blocked.append(waiter)

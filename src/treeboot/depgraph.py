@@ -215,29 +215,30 @@ class DependencyGraph:
                             edge_set.add((src, dst))
                             edges[src].append(dst)
 
+        # Depth-first search with an explicit stack, so long chains cannot
+        # exhaust the interpreter's recursion limit.  ``path`` holds the
+        # vertices on the current DFS path (colour 1), ``pending`` the
+        # unvisited out-edges of each; finished vertices get colour 2.
         color: dict[ModuleKey, int] = {}
-        stack: list[ModuleKey] = []
-
-        def dfs(v: ModuleKey) -> list[ModuleKey] | None:
-            color[v] = 1
-            stack.append(v)
-            for w in edges[v]:
-                state = color.get(w, 0)
-                if state == 0:
-                    found = dfs(w)
-                    if found is not None:
-                        return found
-                elif state == 1:
-                    return stack[stack.index(w):]
-            stack.pop()
-            color[v] = 2
-            return None
-
-        for v in vertices:
-            if color.get(v, 0) == 0:
-                witness = dfs(v)
-                if witness is not None:
-                    return witness
+        for root in vertices:
+            if root in color:
+                continue
+            color[root] = 1
+            path = [root]
+            pending = [iter(edges[root])]
+            while pending:
+                for w in pending[-1]:
+                    state = color.get(w, 0)
+                    if state == 0:
+                        color[w] = 1
+                        path.append(w)
+                        pending.append(iter(edges[w]))
+                        break
+                    if state == 1:
+                        return path[path.index(w):]
+                else:
+                    pending.pop()
+                    color[path.pop()] = 2
         return None
 
 

@@ -12,8 +12,9 @@ tied to a node).  Detail values are whitespace-free tokens.
 
 from __future__ import annotations
 
+import re
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TraceFormatError
 
@@ -36,8 +37,15 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+# For str patterns ``\s`` matches exactly the characters for which
+# ``str.isspace()`` is true, so one search over the joined detail values
+# finds any whitespace in any of them.
+_WHITESPACE = re.compile(r"\s")
+
+
+class TraceEvent(NamedTuple):
+    """One immutable trace record; a tuple of its five fields."""
+
     seq: int
     ts: float
     kind: str
@@ -62,14 +70,15 @@ class TraceSink:
     def emit(self, ts: float, kind: str, node: str, **detail: object) -> TraceEvent:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind: {kind!r}")
-        items = tuple(
-            (k, str(v)) for k, v in detail.items() if v is not None
-        )
-        for k, v in items:
-            if any(c.isspace() for c in v):
-                raise ValueError(f"trace detail {k}={v!r} contains whitespace")
+        items = tuple([(k, v if v.__class__ is str else str(v))
+                       for k, v in detail.items() if v is not None])
+        if items and _WHITESPACE.search("".join([v for _, v in items])):
+            for k, v in items:
+                if _WHITESPACE.search(v):
+                    raise ValueError(f"trace detail {k}={v!r} contains whitespace")
         with self._lock:
-            event = TraceEvent(self._seq, ts, kind, node, items)
+            # tuple.__new__ skips the Python-level NamedTuple constructor.
+            event = tuple.__new__(TraceEvent, (self._seq, ts, kind, node, items))
             self._seq += 1
             self._events.append(event)
         return event

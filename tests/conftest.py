@@ -31,6 +31,16 @@ worker_b * <- cond_a
 """
 
 
+def chain_graph_text(n: int, *, closed: bool = False) -> str:
+    """A graph where module m<i+1> waits on the condition m<i> sets; with
+    ``closed``, m0 also waits on the last one, making an n-module ring."""
+    lines = ["[conditions]"] + [f"m{i} * -> c{i}" for i in range(n)]
+    lines += ["", "[preconditions]"] + [f"m{i + 1} * <- c{i}" for i in range(n - 1)]
+    if closed:
+        lines.append(f"m0 * <- c{n - 1}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def two_app_graph():
     return parse_release_graph(TWO_APP_GRAPH)

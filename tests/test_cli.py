@@ -6,7 +6,7 @@ import pytest
 
 from treeboot.cli import main
 
-from conftest import TWO_APP_GRAPH, CYCLE_GRAPH
+from conftest import TWO_APP_GRAPH, CYCLE_GRAPH, chain_graph_text
 
 APP1_TREE = """\
 sup rootsup module=app1_rootsup
@@ -52,6 +52,13 @@ def test_validate_cycle_exit_1(workdir, capsys):
     assert main(["validate", str(workdir / "cycle.rgraph")]) == 1
     err = capsys.readouterr().err
     assert "dependency-cycle" in err and "worker_a" in err
+
+
+def test_validate_long_chain_ok(tmp_path, capsys):
+    graph = tmp_path / "chain.rgraph"
+    graph.write_text(chain_graph_text(10_000))
+    assert main(["validate", str(graph)]) == 0
+    assert "10000 condition(s)" in capsys.readouterr().out
 
 
 def test_validate_missing_file_exit_2(workdir):

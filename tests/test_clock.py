@@ -131,3 +131,81 @@ def test_wall_clock_now_monotonic():
     a = clock.now()
     clock.sleep(2)
     assert clock.now() >= a + 1.5
+
+
+# -- a lone sleeper against pending timers --------------------------------
+# A sleeper that is the only active participant and whose deadline comes
+# strictly before every pending timer advances the clock itself; on a tie
+# it parks, so every waiter due at that instant wakes together.
+
+
+def _spawn_parked(clock, fn, name):
+    """Spawn ``fn`` and return once it is parked in the clock."""
+    thread = clock.spawn(fn, name)
+    for _ in range(2000):
+        with clock.cond:
+            if clock._active == 1:
+                return thread
+        time.sleep(0.001)
+    raise AssertionError(f"{name} never parked")
+
+
+def test_lone_sleeper_advances_to_its_exact_deadline():
+    clock = VirtualClock(start_ms=7.3)
+    with clock.attached():
+        clock.sleep(2.2)
+        assert clock.now() == 7.3 + 2.2
+        clock.sleep(-1)
+        assert clock.now() == 7.3 + 2.2
+
+
+@pytest.mark.parametrize("sleep_ms, expected", [
+    (40, {"ok": True, "now": 40.0}),  # strictly earlier: the timer stays pending
+    (50, {"ok": False, "now": 50.0}),  # tie: the deadline fires first
+])
+def test_sleep_against_predicate_deadline(sleep_ms, expected):
+    clock = VirtualClock()
+    box = {"flag": False}
+    result = {}
+
+    def waiter():
+        with clock.cond:
+            result["ok"] = clock.wait(lambda: box["flag"], deadline=50)
+            result["now"] = clock.now()
+
+    with clock.attached():
+        t = _spawn_parked(clock, waiter, "waiter")
+        clock.sleep(sleep_ms)
+        with clock.cond:
+            box["flag"] = True
+            clock.notify_all()
+    t.join(5)
+    assert not t.is_alive()
+    assert result == expected
+
+
+@pytest.mark.parametrize("sleep_ms, expected", [
+    (40, (False, 40.0)),  # strictly earlier: the other sleeper is still parked
+    (50, (True, 50.0)),  # tie: both sleepers wake at 50
+])
+def test_sleep_against_other_sleeper(sleep_ms, expected):
+    clock = VirtualClock()
+    woke = []
+
+    def sleeper():
+        clock.sleep(50)
+        with clock.cond:
+            woke.append(clock.now())
+            clock.notify_all()
+
+    with clock.attached():
+        t = _spawn_parked(clock, sleeper, "sleeper")
+        clock.sleep(sleep_ms)
+        with clock.cond:
+            # Deadline now: true only if the other sleeper is already awake.
+            seen = clock.wait(lambda: bool(woke), deadline=clock.now())
+            now = clock.now()
+    t.join(5)
+    assert not t.is_alive()
+    assert (seen, now) == expected
+    assert woke == [50.0]

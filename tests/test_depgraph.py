@@ -14,7 +14,7 @@ from treeboot import (
     serialize_release_graph,
 )
 
-from conftest import TWO_APP_GRAPH
+from conftest import CYCLE_GRAPH, TWO_APP_GRAPH, chain_graph_text
 
 
 # -- parsing -----------------------------------------------------------------
@@ -204,6 +204,55 @@ def test_cycle_check_wildcard_bridges_exact_keys():
         ),
     )
     assert graph.cycle_check() is not None
+
+
+TWO_CYCLES = """\
+[conditions]
+a * -> ca
+b * -> cb
+c * -> cc
+d * -> cd
+e * -> ce
+
+[preconditions]
+b * <- ca
+d * <- cb, ce
+c * <- cb
+a * <- cc
+e * <- cd
+"""
+
+WILDCARD_CYCLE = """\
+[conditions]
+m * -> c_any
+other [1] -> c_o
+x [2] -> c_x
+
+[preconditions]
+other [1] <- c_any
+x [2] <- c_o
+m [1] <- c_x
+"""
+
+
+@pytest.mark.parametrize("text, witness", [
+    (CYCLE_GRAPH, ["worker_a", "worker_b"]),
+    # a -> b -> {d, c}: the search enters d first and closes d <-> e
+    # before it reaches the a -> b -> c -> a cycle.
+    (TWO_CYCLES, ["d", "e"]),
+    (WILDCARD_CYCLE, ["m", "other[1]", "x[2]"]),
+])
+def test_cycle_check_witness_order(text, witness):
+    """The witness is the first cycle found depth-first in declaration
+    order, listed from the vertex where the search entered it."""
+    assert [str(k) for k in parse_release_graph(text).cycle_check()] == witness
+
+
+def test_cycle_check_long_chain_and_ring():
+    n = 10_000  # far deeper than the interpreter's recursion limit
+    assert parse_release_graph(chain_graph_text(n)).cycle_check() is None
+    ring = parse_release_graph(chain_graph_text(n, closed=True))
+    assert [str(k) for k in ring.cycle_check()] == [f"m{i}" for i in range(n)]
 
 
 # -- properties ---------------------------------------------------------------

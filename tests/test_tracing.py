@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from treeboot import TraceFormatError, parse_trace
@@ -39,6 +41,33 @@ def test_whitespace_in_detail_rejected():
     sink = TraceSink()
     with pytest.raises(ValueError):
         sink.emit(0.0, "ack", "n", module="bad value")
+
+
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+
+
+@pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_every_isspace_character_rejected(ch):
+    sink = TraceSink()
+    with pytest.raises(ValueError, match="args="):
+        sink.emit(0.0, "ack", "n", module="ok", args=f"bad{ch}value")
+    assert len(sink) == 0
+
+
+def test_non_str_detail_values_format_as_str():
+    sink = TraceSink()
+    event = sink.emit(0.0, "ack", "n", count=3, ratio=1.5, flag=True, skipped=None)
+    assert event.detail == (("count", "3"), ("ratio", "1.5"), ("flag", "True"))
+    assert format_event(event) == "0 0.000000 ack n count=3 ratio=1.5 flag=True"
+
+
+def test_trace_event_is_an_immutable_record():
+    event = TraceSink().emit(2.5, "wait_begin", "n", module="m", conditions="a,b")
+    assert event == (0, 2.5, "wait_begin", "n", (("module", "m"), ("conditions", "a,b")))
+    assert (event.seq, event.ts, event.kind, event.node) == (0, 2.5, "wait_begin", "n")
+    assert event.get("conditions") == "a,b" and event.get("args", "-") == "-"
+    with pytest.raises(AttributeError):
+        event.kind = "ack"
 
 
 def test_unknown_kind_rejected():
