@@ -51,13 +51,11 @@ from .suptree import (
     wrap_concurrent,
 )
 from .boot import (
-    BootPlan,
     BootResult,
     Release,
     SystemRef,
     boot,
     boot_system,
-    make_boot_plan,
     parse_release,
 )
 from .bench import (

@@ -28,11 +28,9 @@ from .tracing import TraceSink
 
 __all__ = [
     "Release",
-    "BootPlan",
     "SystemRef",
     "BootResult",
     "parse_release",
-    "make_boot_plan",
     "boot",
     "boot_system",
 ]
@@ -43,13 +41,6 @@ class Release:
     name: str
     graph_path: str
     applications: tuple[tuple[str, ChildSpec, str], ...]  # (name, root, tree path)
-
-
-@dataclass(frozen=True)
-class BootPlan:
-    """Ordered start steps; the condition server always comes first."""
-
-    steps: tuple[tuple[str, str], ...]  # (step kind, payload)
 
 
 @dataclass(frozen=True)
@@ -114,13 +105,6 @@ def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
     if graph_path is None:
         raise ReleaseError("missing graph line")
     return Release(name or "release", graph_path, tuple(apps))
-
-
-def make_boot_plan(release: Release) -> BootPlan:
-    steps = [("start_condition_server", release.graph_path)]
-    steps.extend(("start_application", app_name)
-                 for app_name, _, _ in release.applications)
-    return BootPlan(tuple(steps))
 
 
 def boot_system(

@@ -150,19 +150,17 @@ def cmd_bench(args) -> int:
         placement = bench_mod.ForkPlacement.first_n(args.fork_count)
     else:
         placement = bench_mod.ForkPlacement.none()
-    topology = bench_mod.TopologySpec(args.topology, args.branching, args.depth,
-                                      args.seed)
-    delays = bench_mod.DelayModel(args.delay_kind, args.delay_ms)
-    config = bench_mod.BenchConfig(
-        topology=topology,
-        delays=delays,
-        placement=placement,
-        mode=("sequential" if args.mode == "seq" else "concurrent"),
-        repetitions=args.repeat,
-        virtual_clock=args.virtual_clock,
-        deadlock_timeout_ms=args.deadlock_timeout,
-    )
     try:
+        config = bench_mod.BenchConfig(
+            topology=bench_mod.TopologySpec(args.topology, args.branching, args.depth,
+                                            args.seed),
+            delays=bench_mod.DelayModel(args.delay_kind, args.delay_ms),
+            placement=placement,
+            mode=("sequential" if args.mode == "seq" else "concurrent"),
+            repetitions=args.repeat,
+            virtual_clock=args.virtual_clock,
+            deadlock_timeout_ms=args.deadlock_timeout,
+        )
         report = bench_mod.run_benchmark(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ the clock's coordination lock.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -67,6 +68,10 @@ class InitModel:
     duration_ms: float = 0.0
     fn: Callable[[str | None], None] | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.duration_ms < math.inf:
+            raise ValueError(f"init duration {self.duration_ms!r} is not finite and >= 0")
+
     @staticmethod
     def sleep(duration_ms: float) -> "InitModel":
         return InitModel("sleep", duration_ms)
@@ -86,20 +91,20 @@ class InitModel:
 
 @dataclass(frozen=True)
 class SupervisorFlags:
-    strategy: str = "one_for_one"
+    """One-for-one restart budget: at most ``max_restarts`` restarts in
+    any ``max_seconds`` window."""
+
     max_restarts: int = 3
     max_seconds: float = 5.0
 
     def __post_init__(self):
-        if self.strategy != "one_for_one":
-            raise ValueError(f"unsupported strategy {self.strategy!r}")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.max_seconds <= 0:
+        if not self.max_seconds > 0:  # also rejects nan
             raise ValueError("max_seconds must be > 0")
 
 
-WRAPPER_FLAGS = SupervisorFlags("one_for_one", 0, 1.0)
+WRAPPER_FLAGS = SupervisorFlags(0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -107,17 +112,15 @@ class ChildSpec:
     """Extended child specification.
 
     ``start_mode`` distinguishes a plain sequential start from a
-    concurrent (fork point) start; it defaults to sequential so original
-    seven-field specifications keep their meaning.
+    concurrent (fork point) start; it defaults to sequential.  ``flags``
+    is the restart budget a supervisor applies to its children.
     """
 
     id: str
     module: str
     args: str | None = None
     restart: str = "permanent"  # permanent | temporary
-    shutdown: float | str = "brutal"
     kind: str = "worker"  # worker | supervisor
-    modules: tuple[str, ...] = ()
     start_mode: str = "sequential"  # sequential | concurrent
     init: InitModel = field(default_factory=InitModel)
     flags: SupervisorFlags = field(default_factory=SupervisorFlags)
@@ -153,14 +156,14 @@ class Node:
     __slots__ = ("path", "spec", "kind", "state", "parent", "children",
                  "flags", "restart_times", "_runtime")
 
-    def __init__(self, path, spec, kind, parent, flags, runtime):
+    def __init__(self, path, spec, parent, runtime, *, wrapper=False):
         self.path = path
         self.spec = spec
-        self.kind = kind  # worker | supervisor | wrapper
+        self.kind = "wrapper" if wrapper else spec.kind  # worker | supervisor | wrapper
         self.state = "starting"  # starting | running | terminated
         self.parent = parent
         self.children: list[Node] = []
-        self.flags = flags
+        self.flags = WRAPPER_FLAGS if wrapper else spec.flags
         self.restart_times: list[float] = []
         self._runtime = runtime
 
@@ -203,12 +206,11 @@ class CrashOutcome:
 
 
 class _StartFailure(Exception):
-    """Internal: a child (or subtree) start failed after exhausting the
-    supervising budget; escalates one level per raise."""
+    """Internal: the start of ``node`` failed; escalates one level per raise."""
 
-    def __init__(self, node_path: str):
-        self.node_path = node_path
-        super().__init__(node_path)
+    def __init__(self, node: Node):
+        self.node = node
+        super().__init__(node.path)
 
 
 _BUSY_CHUNK = b"\x00" * (128 * 1024)
@@ -263,19 +265,10 @@ class Runtime:
         when its start fails, DeadlockError when a wait was aborted."""
         full_path = path if path is not None else spec.id
         with self.clock.attached():
-            node = Node(full_path, spec, self._node_kind(spec), None,
-                        spec.flags if spec.kind == "supervisor" else None, self)
-            with self.clock.cond:
-                self.roots.append(node)
-            self._emit("start_request", full_path)
             try:
-                ok = self._run_lifecycle(node, spec)
-            except _StartFailure as exc:
-                raise StartupError(
-                    f"root {full_path} failed to start", exc.node_path) from None
-            if not ok:
-                raise StartupError(f"root {full_path} failed to start", full_path)
-            return node
+                return self._start(None, spec, full_path, self.roots)
+            except _StartFailure:
+                raise StartupError(f"root {full_path} failed to start", full_path) from None
 
     def await_quiescence(self, timeout_ms: float | None = None) -> StartupReport:
         """Block until every node acked and every concurrent attach
@@ -319,11 +312,41 @@ class Runtime:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def _node_kind(self, spec: ChildSpec) -> str:
-        return "supervisor" if spec.kind == "supervisor" else "worker"
+    def _start(self, parent: Node | None, spec: ChildSpec, path: str,
+               siblings: list[Node] | None) -> Node:
+        """Start one node: create it, register it in ``siblings``, request
+        its start, run its lifecycle, start its children and ack.  Returns
+        the node once it acked; a failed start takes it out of ``siblings``
+        again and raises _StartFailure.  ``siblings`` is None for a
+        wrapper's child: it joins the wrapper only when it attaches."""
+        node = Node(path, spec, parent, self)
+        if siblings is not None:
+            with self.clock.cond:
+                siblings.append(node)
+        self._emit("start_request", path)
+        ok = self._run_lifecycle(node)
+        if ok:
+            # Children start here, not in _run_lifecycle, so a sequential
+            # tree nests two calls per level (_start, _start_child).
+            try:
+                for child_spec in spec.children:
+                    self._start_child(node, child_spec)
+            except _StartFailure:
+                ok = False
+        if not ok:
+            if siblings is not None:
+                with self.clock.cond:
+                    if node in siblings:
+                        siblings.remove(node)
+            raise _StartFailure(node)
+        with self.clock.cond:
+            node.state = "running"
+            self._ack(path)
+        return node
 
-    def _run_lifecycle(self, node: Node, spec: ChildSpec) -> bool:
-        """wait -> init -> publish conditions -> (children) -> ack."""
+    def _run_lifecycle(self, node: Node) -> bool:
+        """wait -> init -> publish conditions; False when the init failed."""
+        spec = node.spec
         self.store.wait_for_conditions(spec.module, spec.args, node=node.path)
         self._emit("init_begin", node.path, module=spec.module, args=spec.args)
         try:
@@ -336,12 +359,6 @@ class Runtime:
             return False
         self._emit("init_end", node.path, module=spec.module, args=spec.args)
         self.store.set_condition(spec.module, spec.args, node=node.path)
-        if spec.kind == "supervisor":
-            for child_spec in spec.children:
-                self._start_child_slot(node, child_spec)
-        with self.clock.cond:
-            node.state = "running"
-            self._ack(node.path)
         return True
 
     def _run_init(self, init: InitModel, args: str | None) -> None:
@@ -361,39 +378,35 @@ class Runtime:
         else:
             raise ValueError(f"unknown init kind {init.kind!r}")
 
-    def _start_child_slot(self, parent: Node, spec: ChildSpec) -> Node | None:
-        """Start one child slot; sequential slots retry against the
-        parent's restart budget, exhaustion escalates."""
-        mode = "sequential" if self.force_sequential else spec.start_mode
-        if mode == "concurrent":
-            return self.wrap_concurrent(parent, spec)
-        child_path = f"{parent.path}/{spec.id}"
+    def _start_child(self, parent: Node, spec: ChildSpec, *, restart: bool = False) -> None:
+        """Start one child slot of ``parent``, through a wrapper when it is
+        concurrent.  A failed first start retries against the parent's
+        restart budget and raises _StartFailure once that is spent; a failed
+        ``restart`` after a crash goes to _handle_child_exit."""
+        if spec.start_mode == "concurrent" and not self.force_sequential:
+            self.wrap_concurrent(parent, spec)
+            return
+        path = f"{parent.path}/{spec.id}"
         while True:
-            node = Node(child_path, spec, self._node_kind(spec), parent,
-                        spec.flags if spec.kind == "supervisor" else None, self)
-            with self.clock.cond:
-                parent.children.append(node)
-            self._emit("start_request", child_path)
             try:
-                ok = self._run_lifecycle(node, spec)
-            except _StartFailure:
-                ok = False
-            if ok:
-                return node
+                self._start(parent, spec, path, parent.children)
+                return
+            except _StartFailure as exc:
+                if restart:
+                    self._handle_child_exit(parent, exc.node, [])
+                    return
             with self.clock.cond:
-                parent.children.remove(node)
-                retry = self._allow_restart(parent)
-                if not retry:
-                    self._terminate_supervisor(parent, reason="child-start-failure")
-            if not retry:
-                raise _StartFailure(parent.path)
+                if not self._allow_restart(parent):
+                    self._terminate_subtree(parent, emit_self=True,
+                                            reason="child-start-failure")
+                    raise _StartFailure(parent)
 
     def wrap_concurrent(self, parent: Node, spec: ChildSpec) -> Node:
         """Insert the wrapper: ack the parent now, start the child in a
         detached one-shot starter task, attach on completion."""
         child_path = f"{parent.path}/{spec.id}"
         wrapper_path = child_path + WRAPPER_SUFFIX
-        wrapper = Node(wrapper_path, spec, "wrapper", parent, WRAPPER_FLAGS, self)
+        wrapper = Node(wrapper_path, spec, parent, self, wrapper=True)
         with self.clock.cond:
             parent.children.append(wrapper)
             self._outstanding += 1
@@ -424,27 +437,20 @@ class Runtime:
         return wrapper
 
     def _run_concurrent_start(self, wrapper: Node, spec: ChildSpec, child_path: str):
-        node = Node(child_path, spec, self._node_kind(spec), wrapper,
-                    spec.flags if spec.kind == "supervisor" else None, self)
-        self._emit("start_request", child_path)
         try:
-            ok = self._run_lifecycle(node, spec)
+            node = self._start(wrapper, spec, child_path, None)
         except _StartFailure:
-            ok = False
-        if ok:
+            # The wrapper's zero budget terminates it and the slot's fate
+            # goes back to the original parent.
             with self.clock.cond:
-                wrapper.children.append(node)
-                self._emit("attach", wrapper.path, child=child_path)
-                self._last_done_ms = max(self._last_done_ms, self.clock.now())
+                wrapper.state = "terminated"
+                self._emit("terminate", wrapper.path, reason="child-start-failure")
+            self._handle_child_exit(wrapper.parent, wrapper, [])
             return
-        # Start failed: the wrapper's zero budget terminates it and the
-        # slot's fate goes back to the original parent.
         with self.clock.cond:
-            wrapper.state = "terminated"
-            self._emit("terminate", wrapper.path, reason="child-start-failure")
-        hops: list[tuple[str, str]] = []
-        if wrapper.parent is not None:
-            self._handle_child_exit(wrapper.parent, wrapper, hops)
+            wrapper.children.append(node)
+            self._emit("attach", wrapper.path, child=child_path)
+            self._last_done_ms = max(self._last_done_ms, self.clock.now())
 
     # -- crash handling -------------------------------------------------------
 
@@ -464,9 +470,10 @@ class Runtime:
                 restart_spec = spec
             else:
                 hops.append((sup.path, "escalated"))
-                self._terminate_supervisor(sup, reason="restart-budget-exhausted")
+                self._terminate_subtree(sup, emit_self=True,
+                                        reason="restart-budget-exhausted")
         if restart_spec is not None:
-            self._restart_slot(sup, restart_spec)
+            self._start_child(sup, restart_spec, restart=True)
             return
         if sup.parent is not None:
             self._handle_child_exit(sup.parent, sup, hops)
@@ -474,32 +481,8 @@ class Runtime:
             with self.clock.cond:
                 self._fail(StartupError(f"root {sup.path} terminated", sup.path))
 
-    def _restart_slot(self, sup: Node, spec: ChildSpec) -> None:
-        mode = "sequential" if self.force_sequential else spec.start_mode
-        if mode == "concurrent":
-            self.wrap_concurrent(sup, spec)
-            return
-        child_path = f"{sup.path}/{spec.id}"
-        node = Node(child_path, spec, self._node_kind(spec), sup,
-                    spec.flags if spec.kind == "supervisor" else None, self)
-        with self.clock.cond:
-            sup.children.append(node)
-        self._emit("start_request", child_path)
-        try:
-            ok = self._run_lifecycle(node, spec)
-        except _StartFailure:
-            ok = False
-        if not ok:
-            with self.clock.cond:
-                if node in sup.children:
-                    sup.children.remove(node)
-            hops: list[tuple[str, str]] = []
-            self._handle_child_exit(sup, node, hops)
-
     def _allow_restart(self, sup: Node) -> bool:
         # Budget: at most max_restarts restarts per max_seconds window.
-        if sup.flags is None:
-            return False
         now = self.clock.now()
         window = sup.flags.max_seconds * 1000.0
         sup.restart_times = [t for t in sup.restart_times if now - t < window]
@@ -507,9 +490,6 @@ class Runtime:
             sup.restart_times.append(now)
             return True
         return False
-
-    def _terminate_supervisor(self, sup: Node, *, reason: str) -> None:
-        self._terminate_subtree(sup, emit_self=True, reason=reason)
 
     def _terminate_subtree(self, node: Node, *, emit_self: bool, reason: str = "killed") -> None:
         for child in list(node.children):
@@ -561,9 +541,11 @@ def run_worker_lifecycle(spec: ChildSpec, store: ConditionStore,
     runtime = Runtime(store)
     node_path = path if path is not None else spec.id
     with runtime.clock.attached():
-        node = Node(node_path, spec, "worker", None, None, runtime)
-        runtime._emit("start_request", node_path)
-        return runtime._run_lifecycle(node, spec)
+        try:
+            runtime._start(None, spec, node_path, runtime.roots)
+        except _StartFailure:
+            return False
+        return True
 
 
 def await_quiescence(root: Node, timeout_ms: float | None = None) -> StartupReport:
@@ -773,8 +755,8 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 #       worker server2 module=generic_server args=[app1_server2] mode=concurrent
 #
 # keys: module= args=([tok] or *), restart=permanent|temporary,
-# shutdown=brutal|<ms>, init=none|sleep:<ms>|busy:<ms>|fail,
-# mode=sequential|concurrent, restarts=<max>/<seconds> (supervisors).
+# init=none|sleep:<ms>|busy:<ms>|fail, mode=sequential|concurrent,
+# restarts=<max>/<seconds> (supervisors only).
 
 
 def _parse_init(token: str, line: int) -> InitModel:
@@ -794,7 +776,7 @@ def _parse_init(token: str, line: int) -> InitModel:
 def parse_tree(text: str) -> ChildSpec:
     """Parse a tree description file into its root ChildSpec."""
     stack: list[tuple[int, dict]] = []  # (depth, mutable node)
-    root: dict | None = None
+    nodes: list[dict] = []  # every node in file order: parents before children
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].rstrip()
@@ -814,7 +796,6 @@ def parse_tree(text: str) -> ChildSpec:
             "module": node_id,
             "args": None,
             "restart": "permanent",
-            "shutdown": "brutal",
             "kind": "supervisor" if kind_tok == "sup" else "worker",
             "start_mode": "sequential",
             "init": InitModel(),
@@ -832,10 +813,6 @@ def parse_tree(text: str) -> ChildSpec:
                 fields["args"] = None if value == "*" else value
             elif key == "restart":
                 fields["restart"] = value
-            elif key == "shutdown":
-                fields["shutdown"] = value if value == "brutal" else float(value)
-            elif key == "modules":
-                fields["modules"] = tuple(value.split(","))
             elif key == "init":
                 fields["init"] = _parse_init(value, lineno)
             elif key == "mode":
@@ -843,11 +820,11 @@ def parse_tree(text: str) -> ChildSpec:
                     raise TreeError(f"bad mode {value!r}", lineno)
                 fields["start_mode"] = value
             elif key == "restarts":
+                if kind_tok != "sup":
+                    raise TreeError("restarts= is for supervisors only", lineno)
                 try:
                     max_restarts, max_seconds = value.split("/", 1)
-                    fields["flags"] = SupervisorFlags("one_for_one",
-                                                      int(max_restarts),
-                                                      float(max_seconds))
+                    fields["flags"] = SupervisorFlags(int(max_restarts), float(max_seconds))
                 except ValueError:
                     raise TreeError(f"expected restarts=<max>/<seconds>, got {value!r}",
                                     lineno) from None
@@ -857,9 +834,8 @@ def parse_tree(text: str) -> ChildSpec:
         while stack and stack[-1][0] >= depth:
             stack.pop()
         if depth == 0:
-            if root is not None:
+            if nodes:
                 raise TreeError("multiple top-level nodes; a tree has one root", lineno)
-            root = fields
         else:
             if not stack:
                 raise TreeError("indented node without a parent", lineno)
@@ -868,26 +844,30 @@ def parse_tree(text: str) -> ChildSpec:
                 raise TreeError(f"worker {parent['id']!r} cannot have children", lineno)
             parent["children"].append(fields)
         stack.append((depth, fields))
+        nodes.append(fields)
 
-    if root is None:
+    if not nodes:
         raise TreeError("empty tree file")
 
-    def build(node: dict) -> ChildSpec:
+    # Built in reverse file order, every child's spec is ready before its
+    # parent's, with no recursion on deep trees.
+    built: dict[int, ChildSpec] = {}
+    for node in reversed(nodes):
         line = node.pop("line")
-        children = tuple(build(c) for c in node.pop("children"))
+        children = tuple(built.pop(id(c)) for c in node.pop("children"))
         try:
-            return ChildSpec(children=children, **node)
+            built[id(node)] = ChildSpec(children=children, **node)
         except ValueError as exc:
             raise TreeError(str(exc), line) from None
-
-    return build(root)
+    return built[id(nodes[0])]
 
 
 def serialize_tree(spec: ChildSpec) -> str:
     """Render a ChildSpec tree back into the file format."""
     lines: list[str] = []
-
-    def render(node: ChildSpec, depth: int):
+    stack = [(spec, 0)]
+    while stack:
+        node, depth = stack.pop()
         parts = ["sup" if node.kind == "supervisor" else "worker", node.id]
         if node.module != node.id:
             parts.append(f"module={node.module}")
@@ -895,8 +875,6 @@ def serialize_tree(spec: ChildSpec) -> str:
             parts.append(f"args={node.args}")
         if node.restart != "permanent":
             parts.append(f"restart={node.restart}")
-        if node.modules:
-            parts.append(f"modules={','.join(node.modules)}")
         if node.init.kind in ("sleep", "busy"):
             parts.append(f"init={node.init.kind}:{node.init.duration_ms:g}")
         elif node.init.kind == "fail":
@@ -906,8 +884,5 @@ def serialize_tree(spec: ChildSpec) -> str:
         if node.kind == "supervisor" and node.flags != SupervisorFlags():
             parts.append(f"restarts={node.flags.max_restarts}/{node.flags.max_seconds:g}")
         lines.append("  " * depth + " ".join(parts))
-        for child in node.children:
-            render(child, depth + 1)
-
-    render(spec, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Release parsing, boot plans, and release-level startup semantics."""
+"""Release parsing and release-level startup semantics."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from treeboot import (
     boot,
     boot_system,
     check_trace,
-    make_boot_plan,
     parse_release,
 )
 
@@ -76,25 +75,6 @@ def test_parse_release_missing_graph(release_dir):
 def test_parse_release_unknown_tree_file(release_dir):
     with pytest.raises(ReleaseError, match="not found"):
         parse_release("graph sys.rgraph\napp a nope.tree\n", base_dir=release_dir)
-
-
-# -- plans ----------------------------------------------------------------------
-
-
-def test_make_boot_plan_condition_server_first(release_dir):
-    release = parse_release((release_dir / "demo.rel").read_text(),
-                            base_dir=release_dir)
-    plan = make_boot_plan(release)
-    assert plan.steps[0] == ("start_condition_server", "sys.rgraph")
-    assert plan.steps[1:] == (("start_application", "app1"),
-                              ("start_application", "app2"))
-    assert make_boot_plan(release) == plan  # deterministic
-
-
-def test_make_boot_plan_empty_release():
-    release = parse_release("graph g.rgraph\n")
-    plan = make_boot_plan(release)
-    assert plan.steps == (("start_condition_server", "g.rgraph"),)
 
 
 # -- booting -------------------------------------------------------------------

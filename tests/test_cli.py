@@ -121,6 +121,21 @@ def test_run_sequential_mode(workdir, capsys):
     assert "+0 wrapper(s)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("line, fragment", [
+    ("  worker w module=generic_server shutdown=abc", "unknown key"),
+    ("  worker w module=generic_server modules=generic_server", "unknown key"),
+    ("  worker w module=generic_server restarts=1/5", "supervisors only"),
+    ("  sup s restarts=1/nan", "expected restarts="),
+    ("  worker w module=generic_server init=sleep:nan", "bad init duration"),
+    ("  worker w module=generic_server init=sleep:-1", "bad init duration"),
+])
+def test_run_bad_tree_exit_2(workdir, capsys, line, fragment):
+    (workdir / "bad.tree").write_text(f"sup rootsup module=app1_rootsup\n{line}\n")
+    (workdir / "bad.rel").write_text("release bad\ngraph sys.rgraph\napp a bad.tree\n")
+    assert main(["run", str(workdir / "bad.rel"), "--virtual-clock"]) == 2
+    assert fragment in capsys.readouterr().err
+
+
 def test_check_forged_trace_exit_1(workdir, capsys):
     trace_path = workdir / "forged.trace"
     trace_path.write_text(
@@ -165,6 +180,12 @@ def test_bench_writes_csv(workdir, tmp_path):
 def test_bench_conflicting_fork_flags_exit_2(workdir):
     assert main(["bench", "--topology", "deep", "--fork-depth", "1",
                  "--fork-count", "2", "--virtual-clock"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--delay-ms", "0"), ("--repeat", "0")])
+def test_bench_bad_config_value_exit_2(workdir, capsys, flag, value):
+    assert main(["bench", "--topology", "wide", "--virtual-clock", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bench_default_repeat_is_five(workdir, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeboot import (
     ChildSpec,
@@ -313,6 +314,15 @@ def test_deep_regular_tree_sequential_duration():
     assert report.duration_ms == float(expected_nodes)
 
 
+def test_deep_sequential_chain_boots():
+    # A sequential start nests two calls per level, so depth 400 fits in
+    # the default recursion limit of 1000; a third call per level would not.
+    text = "".join(f"{'  ' * depth}sup n{depth}\n" for depth in range(400))
+    rt, store, _ = fresh()
+    rt.start_tree(parse_tree(text))
+    assert rt.await_quiescence().node_count == 400
+
+
 # -- trace checking -------------------------------------------------------------------
 
 
@@ -409,7 +419,7 @@ def test_check_trace_empty_trace_nonempty_tree():
 
 TREE_TEXT = """\
 sup root module=app1_rootsup restarts=2/10
-  worker server1 module=generic_server args=[app1_server1] init=sleep:50 modules=generic_server
+  worker server1 module=generic_server args=[app1_server1] init=sleep:50
   worker server2 module=generic_server args=[app1_server2] init=busy:20 mode=concurrent
   sup mid restarts=0/1
     worker t module=mt restart=temporary init=fail
@@ -419,9 +429,8 @@ sup root module=app1_rootsup restarts=2/10
 def test_parse_tree_structure():
     root = parse_tree(TREE_TEXT)
     assert root.kind == "supervisor" and root.module == "app1_rootsup"
-    assert root.flags == SupervisorFlags("one_for_one", 2, 10.0)
+    assert root.flags == SupervisorFlags(2, 10.0)
     assert [c.id for c in root.children] == ["server1", "server2", "mid"]
-    assert root.children[0].modules == ("generic_server",)
     assert root.children[1].start_mode == "concurrent"
     assert root.children[1].init == InitModel.busy(20)
     mid = root.children[2]
@@ -443,8 +452,53 @@ def test_tree_round_trip():
     ("sup a\n  worker b\n  worker b\n", "duplicate child id"),
     ("", "empty tree"),
     ("sup a mode=parallel\n", "bad mode"),
+    ("sup a shutdown=brutal\n", "unknown key"),
+    ("sup a modules=m\n", "unknown key"),
+    ("sup a\n  worker b restarts=1/5\n", "supervisors only"),
+    ("sup a restarts=2/nan\n  worker b init=fail\n", "expected restarts="),
+    ("sup a init=sleep:nan\n", "bad init duration"),
+    ("sup a init=sleep:-1\n", "bad init duration"),
+    ("sup a init=busy:inf\n", "bad init duration"),
 ])
 def test_parse_tree_errors(bad, fragment):
     with pytest.raises(TreeError) as exc:
         parse_tree(bad)
     assert fragment in str(exc.value)
+
+
+def test_deep_tree_parses_and_round_trips():
+    text = "".join(f"{'  ' * depth}sup n{depth}\n" for depth in range(2000))
+    root = parse_tree(text)
+    assert root.id == "n0" and root.children[0].id == "n1"
+    # text, not specs: ChildSpec.__eq__ recurses through all 2000 levels
+    assert serialize_tree(root) == text
+
+
+_TREE_KEYS = ("module", "args", "restart", "init", "mode", "restarts",
+              "shutdown", "modules", "")
+_TREE_VALUES = ("", "nan", "-1", "a/b", "1/2/3", "2/5", "0/1", "1/nan", "*",
+                "[x]", "m", "temporary", "bogus", "concurrent", "fail",
+                "sleep:5", "sleep:nan", "sleep:-1", "busy:inf", "brutal")
+_tree_token = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(_TREE_KEYS), st.sampled_from(_TREE_VALUES)),
+    st.sampled_from(("junk", "#", "=")),
+)
+_tree_line = st.builds(
+    lambda indent, kind, node_id, tokens: " " * indent + " ".join((kind, node_id, *tokens)),
+    st.integers(0, 7),
+    st.sampled_from(("sup", "worker", "sop", "")),
+    st.sampled_from(("a", "b", "c", "")),
+    st.lists(_tree_token, max_size=4),
+)
+
+
+@given(st.lists(_tree_line, max_size=8))
+@settings(max_examples=300)
+def test_parse_tree_returns_spec_or_tree_error(lines):
+    """Any line mix parses to a spec that round-trips, or raises TreeError."""
+    try:
+        root = parse_tree("\n".join(lines))
+    except TreeError:
+        return
+    assert isinstance(root, ChildSpec)
+    assert parse_tree(serialize_tree(root)) == root
