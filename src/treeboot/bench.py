@@ -134,31 +134,27 @@ def gen_topology(spec: TopologySpec, delays: DelayModel | None = None) -> ChildS
         raise ValueError("branching must be >= 1 and depth >= 0")
     rng = random.Random(spec.seed)
     sample = delays._sampler() if delays is not None else InitModel
-    counter = [0]
-
-    def build(depth: int) -> ChildSpec:
-        node_id = f"n{counter[0]}"
-        counter[0] += 1
+    # Draw each node's init and width in pre-order, then build bottom-up.
+    drawn: list[tuple[InitModel, int]] = []
+    pending = [0]  # depths of the nodes still to draw, the next one on top
+    while pending:
+        depth = pending.pop()
         init = sample()
-        if depth == max_depth:
-            return ChildSpec(id=node_id, module=node_id, kind="worker", init=init)
-        width = branching if branching is not None else rng.randint(1, 5)
-        children = tuple(build(depth + 1) for _ in range(width))
-        return ChildSpec(id=node_id, module=node_id, kind="supervisor",
-                         init=init, children=children)
-
-    return build(0)
-
-
-def _iter_paths(root: ChildSpec):
-    """(relative path, spec, depth) for all nodes; root path is its id."""
-
-    def visit(spec: ChildSpec, path: str, depth: int):
-        yield path, spec, depth
-        for child in spec.children:
-            yield from visit(child, f"{path}/{child.id}", depth + 1)
-
-    yield from visit(root, root.id, 0)
+        width = 0 if depth == max_depth else (
+            branching if branching is not None else rng.randint(1, 5))
+        drawn.append((init, width))
+        pending.extend([depth + 1] * width)
+    built: list[ChildSpec] = []  # finished subtrees, the first child on top
+    for index in reversed(range(len(drawn))):
+        init, width = drawn[index]
+        node_id = f"n{index}"
+        if width == 0:
+            built.append(ChildSpec(id=node_id, module=node_id, kind="worker", init=init))
+        else:
+            children = tuple(built.pop() for _ in range(width))
+            built.append(ChildSpec(id=node_id, module=node_id, kind="supervisor",
+                                   init=init, children=children))
+    return built[0]
 
 
 def place_forks(root: ChildSpec, placement: ForkPlacement) -> tuple[ChildSpec, int]:
@@ -167,21 +163,21 @@ def place_forks(root: ChildSpec, placement: ForkPlacement) -> tuple[ChildSpec, i
     Exactly the selected nodes are concurrent; everything else is reset to
     sequential.  The root cannot be a fork point (there is no supervisor
     above it to fork from)."""
-    nodes = list(_iter_paths(root))
-    by_path = {path: (spec, depth) for path, spec, depth in nodes}
+    nodes = list(root.walk())
+    depth_of = {path: depth for path, _, _, depth in nodes}
 
     if placement.strategy == "none":
         selected: set[str] = set()
     elif placement.strategy == "all_at_depth":
         if placement.depth is None or placement.depth < 1:
             raise ValueError("all_at_depth requires depth >= 1")
-        selected = {path for path, _, depth in nodes if depth == placement.depth}
+        selected = {path for path, _, _, depth in nodes if depth == placement.depth}
         if not selected:
             raise ValueError(f"no nodes at depth {placement.depth}")
     elif placement.strategy == "first_n_breadth_first":
         if placement.count is None or placement.count < 0:
             raise ValueError("first_n_breadth_first requires count >= 0")
-        order = sorted(((depth, i) for i, (_, _, depth) in enumerate(nodes) if depth > 0))
+        order = sorted(((depth, i) for i, (_, _, _, depth) in enumerate(nodes) if depth > 0))
         if placement.count > len(order):
             raise ValueError(f"only {len(order)} non-root nodes available")
         chosen = sorted(i for _, i in order[:placement.count])
@@ -189,19 +185,20 @@ def place_forks(root: ChildSpec, placement: ForkPlacement) -> tuple[ChildSpec, i
     elif placement.strategy == "explicit":
         selected = set(placement.paths)
         for path in selected:
-            if path not in by_path:
+            if path not in depth_of:
                 raise ValueError(f"unknown node path {path!r}")
-            if by_path[path][1] == 0:
+            if depth_of[path] == 0:
                 raise ValueError("the root cannot be a fork point")
     else:
         raise ValueError(f"unknown placement strategy {placement.strategy!r}")
 
-    def rebuild(spec: ChildSpec, path: str) -> ChildSpec:
+    # Rebuilt in reverse pre-order, every child is ready before its parent.
+    built: dict[str, ChildSpec] = {}
+    for path, spec, _, _ in reversed(nodes):
+        children = tuple(built.pop(f"{path}/{c.id}") for c in spec.children)
         mode = "concurrent" if path in selected else "sequential"
-        children = tuple(rebuild(c, f"{path}/{c.id}") for c in spec.children)
-        return replace(spec, start_mode=mode, children=children)
-
-    return rebuild(root, root.id), len(selected)
+        built[path] = replace(spec, start_mode=mode, children=children)
+    return built[root.id], len(selected)
 
 
 # -- analytic model -----------------------------------------------------------
@@ -246,13 +243,13 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
     def dep(name: str, on: str) -> None:
         table[name].deps.append(on)
 
-    nodes = list(_iter_paths(root))
+    nodes = [(path, spec) for path, spec, _, _ in root.walk()]
     by_module: dict[str, list[tuple[str, ChildSpec]]] = {}
-    for path, spec, _ in nodes:
+    for path, spec in nodes:
         by_module.setdefault(spec.module, []).append((path, spec))
 
     # tree milestones
-    for path, spec, _ in nodes:
+    for path, spec in nodes:
         add(f"req:{path}", _MAX)
         add(f"wdone:{path}", _MAX)
         add(f"idone:{path}", _MAX, offset=spec.init.duration_ms)
@@ -262,7 +259,7 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
 
     # condition milestones (first setter wins, hence min)
     needed_conditions: set[str] = set()
-    for path, spec, _ in nodes:
+    for path, spec in nodes:
         needed_conditions.update(graph.expand_preconditions(spec.key()))
     for name in sorted(needed_conditions):
         m = add(f"set:{name}", _MIN)
@@ -275,7 +272,7 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
             raise ValueError(f"condition {name!r} is never set by any tree node")
 
     # wire per-node edges
-    for path, spec, _ in nodes:
+    for path, spec in nodes:
         for name in sorted(graph.expand_preconditions(spec.key())):
             dep(f"wdone:{path}", f"set:{name}")
         if spec.kind != "supervisor" or not spec.children:
@@ -333,7 +330,7 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
         stuck = sorted(name for name, m in table.items() if m.value is None)
         raise ValueError(f"cyclic combined ordering (stuck at {stuck[:4]}...)")
 
-    return max(table[f"ack:{path}"].value for path, _, _ in nodes)
+    return max(table[f"ack:{path}"].value for path, _ in nodes)
 
 
 # -- running ----------------------------------------------------------------

@@ -17,6 +17,17 @@ Threading model: sequential children run inline in their supervisor's
 thread (a blocked sequential child blocks the whole chain, by design);
 a new thread exists only per fork point.  All shared state is guarded by
 the clock's coordination lock.
+
+The start loop: one call of ``Runtime._start`` starts a node and its whole
+sequential subtree without recursing.  It keeps an explicit stack with one
+frame per node that has started but not yet acked (the node, its siblings
+list and its next child slot).  The loop starts the top node's next child
+slot in order (through a wrapper when the slot is concurrent), acks a node
+once its last slot started, retries a failed child against its parent's
+restart budget, and, once that budget is spent, terminates the parent's
+subtree and unwinds the failure to the frame below.  Crash handling walks
+up the tree in a loop too, so a tree of any depth starts, restarts and
+escalates.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterator
 
 from .condsrv import ConditionStore
 from .clock import VirtualClock
@@ -144,10 +155,23 @@ class ChildSpec:
     def key(self) -> ModuleKey:
         return ModuleKey(self.module, self.args)
 
-    def iter_nodes(self) -> Iterable["ChildSpec"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
+    def walk(self, path: str | None = None
+             ) -> Iterator[tuple[str, "ChildSpec", str | None, int]]:
+        """Yield (path, spec, parent path, depth) for this spec and every
+        descendant in pre-order; this spec's path is ``path`` or its id,
+        its parent path None and its depth 0."""
+        stack = [(self.id if path is None else path, self, None, 0)]
+        while stack:
+            item = stack.pop()
+            yield item
+            node_path, spec, _, depth = item
+            if spec.children:
+                depth += 1
+                stack += [(f"{node_path}/{child.id}", child, node_path, depth)
+                          for child in reversed(spec.children)]
+
+    def iter_nodes(self) -> Iterator["ChildSpec"]:
+        return (spec for _, spec, _, _ in self.walk())
 
 
 class Node:
@@ -168,12 +192,12 @@ class Node:
         self._runtime = runtime
 
     def find(self, path: str) -> "Node | None":
-        if self.path == path:
-            return self
-        for child in self.children:
-            found = child.find(path)
-            if found is not None:
-                return found
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.path == path:
+                return node
+            stack.extend(reversed(node.children))
         return None
 
     def shape(self):
@@ -203,14 +227,6 @@ class CrashOutcome:
     @property
     def final(self) -> str:
         return self.hops[-1][1] if self.hops else "noop"
-
-
-class _StartFailure(Exception):
-    """Internal: the start of ``node`` failed; escalates one level per raise."""
-
-    def __init__(self, node: Node):
-        self.node = node
-        super().__init__(node.path)
 
 
 _BUSY_CHUNK = b"\x00" * (128 * 1024)
@@ -265,10 +281,10 @@ class Runtime:
         when its start fails, DeadlockError when a wait was aborted."""
         full_path = path if path is not None else spec.id
         with self.clock.attached():
-            try:
-                return self._start(None, spec, full_path, self.roots)
-            except _StartFailure:
-                raise StartupError(f"root {full_path} failed to start", full_path) from None
+            node, ok = self._start(None, spec, full_path, self.roots)
+        if not ok:
+            raise StartupError(f"root {full_path} failed to start", full_path)
+        return node
 
     def await_quiescence(self, timeout_ms: float | None = None) -> StartupReport:
         """Block until every node acked and every concurrent attach
@@ -313,53 +329,74 @@ class Runtime:
     # -- lifecycle ----------------------------------------------------------
 
     def _start(self, parent: Node | None, spec: ChildSpec, path: str,
-               siblings: list[Node] | None) -> Node:
-        """Start one node: create it, register it in ``siblings``, request
-        its start, run its lifecycle, start its children and ack.  Returns
-        the node once it acked; a failed start takes it out of ``siblings``
-        again and raises _StartFailure.  ``siblings`` is None for a
-        wrapper's child: it joins the wrapper only when it attaches."""
+               siblings: list[Node] | None) -> tuple[Node, bool]:
+        """Start one node and its sequential subtree in this thread.
+
+        Returns (node, ok): ok once the node acked; a failed start has
+        taken the node out of ``siblings`` again.  ``siblings`` is None for
+        a wrapper's child: it joins the wrapper only when it attaches.
+
+        ``stack`` holds a frame (node, siblings, next child slot) for each
+        ancestor of the current node that started but has not acked; they
+        are all still ok, since only an ok node starts a child.
+        """
+        stack: list[tuple[Node, list[Node] | None, int]] = []
+        node, ok = self._begin(parent, spec, path, siblings)
+        slot = 0
+        while True:
+            children = node.spec.children
+            if ok and slot < len(children):
+                child_spec = children[slot]
+                if child_spec.start_mode == "concurrent" and not self.force_sequential:
+                    self.wrap_concurrent(node, child_spec)
+                    slot += 1
+                    continue
+                stack.append((node, siblings, slot))
+                siblings, slot = node.children, 0
+                node, ok = self._begin(node, child_spec, f"{node.path}/{child_spec.id}",
+                                       siblings)
+                continue
+            with self.clock.cond:
+                if ok:
+                    node.state = "running"
+                    self._ack(node.path)
+                elif siblings is not None and node in siblings:
+                    siblings.remove(node)
+            if not stack:
+                return node, ok
+            node, siblings, slot = stack.pop()
+            if ok:
+                slot += 1
+                continue
+            # Retry the failed slot against this node's budget, or fail it.
+            with self.clock.cond:
+                ok = self._allow_restart(node)
+                if not ok:
+                    self._terminate_subtree(node, emit_self=True,
+                                            reason="child-start-failure")
+
+    def _begin(self, parent: Node | None, spec: ChildSpec, path: str,
+               siblings: list[Node] | None) -> tuple[Node, bool]:
+        """Create a node, register it in ``siblings``, request its start and
+        run wait -> init -> publish conditions; ok is False when the init
+        failed."""
         node = Node(path, spec, parent, self)
         if siblings is not None:
             with self.clock.cond:
                 siblings.append(node)
         self._emit("start_request", path)
-        ok = self._run_lifecycle(node)
-        if ok:
-            # Children start here, not in _run_lifecycle, so a sequential
-            # tree nests two calls per level (_start, _start_child).
-            try:
-                for child_spec in spec.children:
-                    self._start_child(node, child_spec)
-            except _StartFailure:
-                ok = False
-        if not ok:
-            if siblings is not None:
-                with self.clock.cond:
-                    if node in siblings:
-                        siblings.remove(node)
-            raise _StartFailure(node)
-        with self.clock.cond:
-            node.state = "running"
-            self._ack(path)
-        return node
-
-    def _run_lifecycle(self, node: Node) -> bool:
-        """wait -> init -> publish conditions; False when the init failed."""
-        spec = node.spec
-        self.store.wait_for_conditions(spec.module, spec.args, node=node.path)
-        self._emit("init_begin", node.path, module=spec.module, args=spec.args)
+        self.store.wait_for_conditions(spec.module, spec.args, node=path)
+        self._emit("init_begin", path, module=spec.module, args=spec.args)
         try:
             self._run_init(spec.init, spec.args)
         except Exception as exc:
             with self.clock.cond:
-                self._emit("crash", node.path,
-                           reason=f"init-failure:{type(exc).__name__}")
+                self._emit("crash", path, reason=f"init-failure:{type(exc).__name__}")
                 node.state = "terminated"
-            return False
-        self._emit("init_end", node.path, module=spec.module, args=spec.args)
-        self.store.set_condition(spec.module, spec.args, node=node.path)
-        return True
+            return node, False
+        self._emit("init_end", path, module=spec.module, args=spec.args)
+        self.store.set_condition(spec.module, spec.args, node=path)
+        return node, True
 
     def _run_init(self, init: InitModel, args: str | None) -> None:
         if init.kind == "none":
@@ -377,29 +414,6 @@ class Runtime:
             init.fn(args)
         else:
             raise ValueError(f"unknown init kind {init.kind!r}")
-
-    def _start_child(self, parent: Node, spec: ChildSpec, *, restart: bool = False) -> None:
-        """Start one child slot of ``parent``, through a wrapper when it is
-        concurrent.  A failed first start retries against the parent's
-        restart budget and raises _StartFailure once that is spent; a failed
-        ``restart`` after a crash goes to _handle_child_exit."""
-        if spec.start_mode == "concurrent" and not self.force_sequential:
-            self.wrap_concurrent(parent, spec)
-            return
-        path = f"{parent.path}/{spec.id}"
-        while True:
-            try:
-                self._start(parent, spec, path, parent.children)
-                return
-            except _StartFailure as exc:
-                if restart:
-                    self._handle_child_exit(parent, exc.node, [])
-                    return
-            with self.clock.cond:
-                if not self._allow_restart(parent):
-                    self._terminate_subtree(parent, emit_self=True,
-                                            reason="child-start-failure")
-                    raise _StartFailure(parent)
 
     def wrap_concurrent(self, parent: Node, spec: ChildSpec) -> Node:
         """Insert the wrapper: ack the parent now, start the child in a
@@ -437,9 +451,8 @@ class Runtime:
         return wrapper
 
     def _run_concurrent_start(self, wrapper: Node, spec: ChildSpec, child_path: str):
-        try:
-            node = self._start(wrapper, spec, child_path, None)
-        except _StartFailure:
+        node, ok = self._start(wrapper, spec, child_path, None)
+        if not ok:
             # The wrapper's zero budget terminates it and the slot's fate
             # goes back to the original parent.
             with self.clock.cond:
@@ -455,31 +468,40 @@ class Runtime:
     # -- crash handling -------------------------------------------------------
 
     def _handle_child_exit(self, sup: Node, child: Node, hops: list) -> None:
-        restart_spec: ChildSpec | None = None
-        with self.clock.cond:
-            if sup.state == "terminated":
-                return
-            if child in sup.children:
-                sup.children.remove(child)
-            spec = child.spec
-            if spec.restart == "temporary" and child.kind != "wrapper":
-                hops.append((sup.path, "removed"))
-                return
-            if self._allow_restart(sup):
-                hops.append((sup.path, "restarted"))
-                restart_spec = spec
-            else:
-                hops.append((sup.path, "escalated"))
-                self._terminate_subtree(sup, emit_self=True,
-                                        reason="restart-budget-exhausted")
-        if restart_spec is not None:
-            self._start_child(sup, restart_spec, restart=True)
-            return
-        if sup.parent is not None:
-            self._handle_child_exit(sup.parent, sup, hops)
-        else:
+        """Apply ``sup``'s policy to its exited ``child``: remove a temporary
+        child, restart the slot within the budget, or escalate to sup's
+        parent (failing the run at a root).  A restart that fails to start
+        is handled the same way, without recording its decisions in
+        ``hops``."""
+        while True:
             with self.clock.cond:
-                self._fail(StartupError(f"root {sup.path} terminated", sup.path))
+                if sup.state == "terminated":
+                    return
+                if child in sup.children:
+                    sup.children.remove(child)
+                if child.spec.restart == "temporary" and child.kind != "wrapper":
+                    hops.append((sup.path, "removed"))
+                    return
+                restart = self._allow_restart(sup)
+                hops.append((sup.path, "restarted" if restart else "escalated"))
+                if not restart:
+                    self._terminate_subtree(sup, emit_self=True,
+                                            reason="restart-budget-exhausted")
+            if restart:
+                spec = child.spec
+                if spec.start_mode == "concurrent" and not self.force_sequential:
+                    self.wrap_concurrent(sup, spec)
+                    return
+                child, ok = self._start(sup, spec, f"{sup.path}/{spec.id}", sup.children)
+                if ok:
+                    return
+                hops = []
+            elif sup.parent is None:
+                with self.clock.cond:
+                    self._fail(StartupError(f"root {sup.path} terminated", sup.path))
+                return
+            else:
+                sup, child = sup.parent, sup
 
     def _allow_restart(self, sup: Node) -> bool:
         # Budget: at most max_restarts restarts per max_seconds window.
@@ -492,13 +514,21 @@ class Runtime:
         return False
 
     def _terminate_subtree(self, node: Node, *, emit_self: bool, reason: str = "killed") -> None:
-        for child in list(node.children):
-            if child.state != "terminated":
-                self._terminate_subtree(child, emit_self=True, reason="parent-terminated")
-        if node.state != "terminated":
-            node.state = "terminated"
-            if emit_self:
-                self._emit("terminate", node.path, reason=reason)
+        """Terminate ``node`` and its live descendants, each after its
+        children in child order; a terminated child's subtree is skipped."""
+        # Pre-order with the children reversed is post-order reversed.
+        order, stack = [], [node]
+        while stack:
+            current = stack.pop()
+            order.append(current)
+            stack.extend(c for c in current.children if c.state != "terminated")
+        for current in reversed(order):
+            if current.state != "terminated":
+                current.state = "terminated"
+                if current is not node:
+                    self._emit("terminate", current.path, reason="parent-terminated")
+                elif emit_self:
+                    self._emit("terminate", current.path, reason=reason)
 
     # -- bookkeeping ------------------------------------------------------------
 
@@ -541,11 +571,7 @@ def run_worker_lifecycle(spec: ChildSpec, store: ConditionStore,
     runtime = Runtime(store)
     node_path = path if path is not None else spec.id
     with runtime.clock.attached():
-        try:
-            runtime._start(None, spec, node_path, runtime.roots)
-        except _StartFailure:
-            return False
-        return True
+        return runtime._start(None, spec, node_path, runtime.roots)[1]
 
 
 def await_quiescence(root: Node, timeout_ms: float | None = None) -> StartupReport:
@@ -578,36 +604,6 @@ class Violation:
         return f"{self.code}: {self.message}{refs}"
 
 
-class _NodeInfo:
-    __slots__ = ("path", "spec", "parent", "slot_index", "depth")
-
-    def __init__(self, path, spec, parent, slot_index, depth):
-        self.path = path
-        self.spec = spec
-        self.parent = parent
-        self.slot_index = slot_index
-        self.depth = depth
-
-
-def _walk_declared(tree) -> dict[str, _NodeInfo]:
-    """Flatten a root spec or [(prefix, root spec)] forest into path->info."""
-    if isinstance(tree, ChildSpec):
-        forest = [("", tree)]
-    else:
-        forest = [(prefix, spec) for prefix, spec in tree]
-    table: dict[str, _NodeInfo] = {}
-
-    def visit(spec: ChildSpec, path: str, parent: str | None, slot: int, depth: int):
-        table[path] = _NodeInfo(path, spec, parent, slot, depth)
-        for index, child in enumerate(spec.children):
-            visit(child, f"{path}/{child.id}", path, index, depth + 1)
-
-    for prefix, root in forest:
-        root_path = f"{prefix}/{root.id}" if prefix else root.id
-        visit(root, root_path, None, 0, 0)
-    return table
-
-
 _LIFECYCLE_ORDER = ("start_request", "wait_begin", "wait_end",
                     "init_begin", "init_end", "condition_set", "ack")
 
@@ -621,32 +617,35 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
     wrappers.  ``tree`` is a root ChildSpec or a list of (prefix, root)
     pairs for multi-application traces.
     """
-    declared = _walk_declared(tree)
+    forest = [("", tree)] if isinstance(tree, ChildSpec) else tree
+    declared: dict[str, ChildSpec] = {}  # path -> spec
+    expected_paths: set[str] = set()
+    wrapper_of: dict[str, str] = {}
     events = sorted(events, key=lambda e: e.seq)
     violations: list[Violation] = []
 
     wrappers_present = any(e.node.endswith(WRAPPER_SUFFIX) for e in events)
+    for prefix, root in forest:
+        for path, spec, parent, _ in root.walk(f"{prefix}/{root.id}" if prefix else None):
+            declared[path] = spec
+            expected_paths.add(path)
+            if wrappers_present and spec.start_mode == "concurrent" and parent is not None:
+                wrapper_of[path] = path + WRAPPER_SUFFIX
+                expected_paths.add(path + WRAPPER_SUFFIX)
 
-    def effective_concurrent(info: _NodeInfo) -> bool:
-        return wrappers_present and info.spec.start_mode == "concurrent" \
-            and info.parent is not None
-
-    expected_paths = set(declared)
-    wrapper_of: dict[str, str] = {}
-    for path, info in declared.items():
-        if effective_concurrent(info):
-            wrapper_of[path] = path + WRAPPER_SUFFIX
-            expected_paths.add(path + WRAPPER_SUFFIX)
-
-    # first occurrence of each (node, kind); first condition_set per condition
+    # first occurrence of each (node, kind); first condition_set per
+    # condition; last terminate per node
     first: dict[tuple[str, str], TraceEvent] = {}
     first_set: dict[str, TraceEvent] = {}
+    last_terminate: dict[str, int] = {}
     for event in events:
         first.setdefault((event.node, event.kind), event)
         if event.kind == "condition_set":
             name = event.get("condition")
             if name is not None and name not in first_set:
                 first_set[name] = event
+        elif event.kind == "terminate":
+            last_terminate[event.node] = event.seq
 
     if not events and declared:
         return [Violation("missing-events", "trace is empty but the tree declares nodes")]
@@ -676,8 +675,8 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
             violations.append(Violation("missing-events", f"{path} never acked"))
 
     # precondition safety: every needed condition set before init_begin
-    for path, info in sorted(declared.items()):
-        needed = graph.expand_preconditions(info.spec.key())
+    for path, spec in sorted(declared.items()):
+        needed = graph.expand_preconditions(spec.key())
         if not needed:
             continue
         init_begin = first.get((path, "init_begin"))
@@ -697,11 +696,11 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
                     (init_begin.seq, setter.seq)))
 
     # sibling order: ack of slot i precedes start_request of slot i+1
-    for path, info in sorted(declared.items()):
-        if info.spec.kind != "supervisor":
+    for path, spec in sorted(declared.items()):
+        if spec.kind != "supervisor":
             continue
         slots = []
-        for child in info.spec.children:
+        for child in spec.children:
             child_path = f"{path}/{child.id}"
             slots.append(wrapper_of.get(child_path, child_path))
         for left_path, right_path in zip(slots, slots[1:]):
@@ -715,10 +714,9 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 
     # wrapper rules: immediate ack, attach present, crash escalation
     for child_path, wrapper_path in sorted(wrapper_of.items()):
-        info = declared[child_path]
         wrapper_ack = first.get((wrapper_path, "ack"))
         child_init_end = first.get((child_path, "init_end"))
-        if (info.spec.init.duration_ms > 0 and wrapper_ack and child_init_end
+        if (declared[child_path].init.duration_ms > 0 and wrapper_ack and child_init_end
                 and wrapper_ack.seq > child_init_end.seq):
             violations.append(Violation(
                 "wrapper-blocked",
@@ -731,17 +729,12 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
                 "missing-attach",
                 f"{wrapper_path} never attached {child_path}"))
         if attach is not None and child_crash is not None \
-                and child_crash.seq > attach.seq:
-            terminated = any(
-                e.kind == "terminate" and e.node == wrapper_path
-                and e.seq > child_crash.seq
-                for e in events
-            )
-            if not terminated:
-                violations.append(Violation(
-                    "wrapper-survived-crash",
-                    f"{wrapper_path} did not terminate after {child_path} crashed",
-                    (child_crash.seq,)))
+                and child_crash.seq > attach.seq \
+                and last_terminate.get(wrapper_path, -1) <= child_crash.seq:
+            violations.append(Violation(
+                "wrapper-survived-crash",
+                f"{wrapper_path} did not terminate after {child_path} crashed",
+                (child_crash.seq,)))
 
     return violations
 

@@ -136,6 +136,29 @@ def test_run_bad_tree_exit_2(workdir, capsys, line, fragment):
     assert fragment in capsys.readouterr().err
 
 
+def write_deep_release(base, depth=2000):
+    (base / "chain.tree").write_text(
+        "".join(f"{'  ' * level}sup n{level} init=sleep:1\n" for level in range(depth)))
+    (base / "empty.rgraph").write_text("[conditions]\n")
+    (base / "deep.rel").write_text("release deep\ngraph empty.rgraph\napp a chain.tree\n")
+    return base / "deep.rel"
+
+
+def test_run_deep_release_exit_0(tmp_path, capsys):
+    release = write_deep_release(tmp_path)
+    assert main(["run", str(release), "--virtual-clock",
+                 "--trace", str(tmp_path / "deep.trace")]) == 0
+    assert "started 2000 node(s) (+0 wrapper(s)) in 2000.000 ms" in capsys.readouterr().out
+
+
+def test_check_deep_trace_exit_0(tmp_path, capsys):
+    release = write_deep_release(tmp_path)
+    trace_path = tmp_path / "deep.trace"
+    assert main(["run", str(release), "--virtual-clock", "--trace", str(trace_path)]) == 0
+    assert main(["check", str(trace_path), str(tmp_path / "empty.rgraph"), str(release)]) == 0
+    assert "no violations" in capsys.readouterr().out
+
+
 def test_check_forged_trace_exit_1(workdir, capsys):
     trace_path = workdir / "forged.trace"
     trace_path.write_text(
@@ -164,6 +187,13 @@ def test_bench_exact_prediction(workdir, capsys):
     out = capsys.readouterr().out
     assert "mean=1093.000" in out
     assert "critical_path_prediction_ms: 1093.000" in out
+
+
+def test_bench_deep_chain_exit_0(capsys):
+    assert main(["bench", "--topology", "deep", "--branching", "1", "--depth", "1500",
+                 "--virtual-clock", "--repeat", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "nodes=1501" in out and "critical_path_prediction_ms: 75050.000" in out
 
 
 def test_bench_writes_csv(workdir, tmp_path):

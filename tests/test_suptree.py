@@ -9,6 +9,7 @@ from treeboot import (
     ChildSpec,
     ConditionStore,
     DependencyGraph,
+    ForkPlacement,
     InitModel,
     Runtime,
     StartupError,
@@ -16,11 +17,15 @@ from treeboot import (
     TreeError,
     VirtualClock,
     check_trace,
+    critical_path,
     parse_release_graph,
     parse_tree,
+    place_forks,
     run_worker_lifecycle,
     serialize_tree,
 )
+
+from gensys import random_system
 
 
 def fresh(graph=None, timeout=1000.0, force_sequential=False):
@@ -314,13 +319,67 @@ def test_deep_regular_tree_sequential_duration():
     assert report.duration_ms == float(expected_nodes)
 
 
+def chain_text(depth: int, keys: str = "") -> str:
+    """A chain of ``depth`` nested supervisors, ``keys`` on every line."""
+    return "".join(f"{'  ' * level}sup n{level} {keys}\n" for level in range(depth))
+
+
 def test_deep_sequential_chain_boots():
-    # A sequential start nests two calls per level, so depth 400 fits in
-    # the default recursion limit of 1000; a third call per level would not.
-    text = "".join(f"{'  ' * depth}sup n{depth}\n" for depth in range(400))
+    for depth in (400, 2000):
+        rt, store, _ = fresh()
+        rt.start_tree(parse_tree(chain_text(depth)))
+        assert rt.await_quiescence().node_count == depth
+
+
+def test_deep_chain_duration_prediction_and_check():
+    tree = parse_tree(chain_text(2000, "init=sleep:1"))
     rt, store, _ = fresh()
-    rt.start_tree(parse_tree(text))
-    assert rt.await_quiescence().node_count == 400
+    rt.start_tree(tree)
+    assert rt.await_quiescence().duration_ms == critical_path(tree) == 2000.0
+    assert check_trace(store.trace.events, DependencyGraph(), tree) == []
+    forked, tagged = place_forks(tree, ForkPlacement.at_depth(1999))
+    assert tagged == 1
+    assert [spec.start_mode for spec in forked.iter_nodes()] == \
+        ["sequential"] * 1999 + ["concurrent"]
+    assert [spec.id for spec in tree.iter_nodes()] == [f"n{i}" for i in range(2000)]
+
+
+def test_deep_chain_crash_escalates_once_per_supervisor():
+    text = chain_text(2000, "restarts=0/5") + "  " * 2000 + "worker leaf\n"
+    rt, store, _ = fresh()
+    root = rt.start_tree(parse_tree(text))
+    rt.await_quiescence()
+    sup_paths = ["/".join(f"n{i}" for i in range(level + 1)) for level in range(2000)]
+    outcome = rt.inject_crash(root.find(sup_paths[-1] + "/leaf"))
+    assert outcome.hops == tuple((path, "escalated") for path in reversed(sup_paths))
+    assert root.state == "terminated"
+    with pytest.raises(StartupError):
+        rt.await_quiescence()
+
+
+# -- spec walk ------------------------------------------------------------------------
+
+
+def reference_walk(spec: ChildSpec, path: str, parent: str | None = None, depth: int = 0):
+    yield path, spec, parent, depth
+    for child in spec.children:
+        yield from reference_walk(child, f"{path}/{child.id}", path, depth + 1)
+
+
+def by_identity(walk):
+    return [(path, id(spec), parent, depth) for path, spec, parent, depth in walk]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_walk_matches_recursive_reference(seed):
+    root = random_system(seed).tagged_root()
+    assert by_identity(root.walk()) == by_identity(reference_walk(root, root.id))
+    assert [id(spec) for spec in root.iter_nodes()] == \
+        [id(spec) for _, spec, _, _ in reference_walk(root, root.id)]
+    forest = [("app1", root), ("app2", random_system(seed + 100).root)]
+    for prefix, app_root in forest:
+        path = f"{prefix}/{app_root.id}"
+        assert by_identity(app_root.walk(path)) == by_identity(reference_walk(app_root, path))
 
 
 # -- trace checking -------------------------------------------------------------------
@@ -406,6 +465,33 @@ def test_check_trace_structure_mismatch():
     stray = type(events[0])(len(events), 99.0, "ack", "s/ghost", ())
     codes = {v.code for v in check_trace(events + [stray], graph, root)}
     assert "structure-mismatch" in codes
+
+
+def run_wrapper_crash():
+    """C08-style: crash the child of a wrapper; the wrapper terminates and
+    the parent restarts the slot."""
+    rt, store, _ = fresh()
+    root_spec = ChildSpec(id="root", module="root", kind="supervisor", children=(
+        ChildSpec(id="c", module="m", start_mode="concurrent", init=InitModel.sleep(2)),
+    ))
+    root = rt.start_tree(root_spec)
+    rt.await_quiescence()
+    rt.inject_crash(root.find("root/c"))
+    rt.await_quiescence()
+    return store.trace.events, root_spec
+
+
+def test_check_trace_wrapper_terminated_after_crash():
+    events, root_spec = run_wrapper_crash()
+    assert check_trace(events, DependencyGraph(), root_spec) == []
+
+
+def test_check_trace_wrapper_survived_crash():
+    events, root_spec = run_wrapper_crash()
+    crash = next(e for e in events if e.kind == "crash")
+    pruned = [e for e in events if not (e.kind == "terminate" and e.node == "root/c#wrap")]
+    violations = check_trace(pruned, DependencyGraph(), root_spec)
+    assert [(v.code, v.seqs) for v in violations] == [("wrapper-survived-crash", (crash.seq,))]
 
 
 def test_check_trace_empty_trace_nonempty_tree():
