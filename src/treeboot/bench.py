@@ -244,9 +244,6 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
         table[name].deps.append(on)
 
     nodes = [(path, spec) for path, spec, _, _ in root.walk()]
-    by_module: dict[str, list[tuple[str, ChildSpec]]] = {}
-    for path, spec in nodes:
-        by_module.setdefault(spec.module, []).append((path, spec))
 
     # tree milestones
     for path, spec in nodes:
@@ -259,15 +256,14 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
 
     # condition milestones (first setter wins, hence min)
     needed_conditions: set[str] = set()
+    setters: dict[str, list[str]] = {}  # condition -> idone milestones of its setters
     for path, spec in nodes:
         needed_conditions.update(graph.expand_preconditions(spec.key()))
+        for name in graph.conditions_set_by(spec.module, spec.args):
+            setters.setdefault(name, []).append(f"idone:{path}")
     for name in sorted(needed_conditions):
         m = add(f"set:{name}", _MIN)
-        setter_key = graph.setter_of(name)
-        if setter_key is not None:
-            for path, spec in by_module.get(setter_key.module, []):
-                if setter_key.matches_start(spec.module, spec.args):
-                    m.deps.append(f"idone:{path}")
+        m.deps.extend(setters.get(name, ()))
         if not m.deps:
             raise ValueError(f"condition {name!r} is never set by any tree node")
 

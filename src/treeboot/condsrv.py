@@ -59,15 +59,14 @@ class DeadlockReport:
 
 
 class _Waiter:
-    __slots__ = ("key", "node", "unmet", "initial_unmet", "seq", "registered_ms",
+    __slots__ = ("key", "node", "unmet", "initial_unmet", "registered_ms",
                  "report", "abort")
 
-    def __init__(self, key, node, unmet, seq, registered_ms):
+    def __init__(self, key, node, unmet, registered_ms):
         self.key = key
         self.node = node
         self.unmet = unmet
         self.initial_unmet = frozenset(unmet)
-        self.seq = seq
         self.registered_ms = registered_ms
         self.report: WaitReport | None = None
         self.abort: DeadlockReport | None = None
@@ -93,7 +92,6 @@ class ConditionStore:
         self.deadlock_timeout_ms = deadlock_timeout_ms
         self._truth: dict[str, bool] = {name: False for _, name in graph.conditions}
         self._waiters: list[_Waiter] = []
-        self._next_seq = 0
         self._last_progress_ms = self.clock.now()
 
     # -- observability ---------------------------------------------------
@@ -129,8 +127,8 @@ class ConditionStore:
             if flipped:
                 self._last_progress_ms = now
                 still_blocked: list[_Waiter] = []
-                # _waiters is in registration order: appended in increasing
-                # seq under the lock, and only ever filtered in order.
+                # _waiters is in registration order: appended under the
+                # lock, and only ever filtered in order.
                 for waiter in self._waiters:
                     waiter.unmet -= flipped
                     if waiter.unmet:
@@ -157,8 +155,7 @@ class ConditionStore:
             if not unmet:
                 self.trace.emit(now, "wait_end", node, module=module, args=args)
                 return WaitReport(key, 0.0, frozenset())
-            waiter = _Waiter(key, node, set(unmet), self._next_seq, now)
-            self._next_seq += 1
+            waiter = _Waiter(key, node, set(unmet), now)
             self._waiters.append(waiter)
             while True:
                 deadline = max(waiter.registered_ms, self._last_progress_ms) + self.deadlock_timeout_ms

@@ -3,7 +3,9 @@
 A graph declares which named boolean *conditions* each module startup sets
 and which conditions (or groups of them) a module startup must observe
 before running its init.  Graphs are loaded from ``.rgraph`` files or built
-programmatically, validated once, and treated as read-only afterwards.
+programmatically, validated once, and treated as read-only afterwards:
+each graph object keeps its diagnostics and its cycle witness in
+``cached_property`` slots beside its lookup tables.
 
 File format (line oriented, UTF-8, ``#`` comments)::
 
@@ -56,10 +58,6 @@ class ModuleKey:
     module: str
     args: str | None = None
 
-    def matches_start(self, module: str, args: str | None) -> bool:
-        """True when a start of (module, args) falls under this key."""
-        return self.module == module and (self.args is None or self.args == args)
-
     def __str__(self) -> str:
         return self.module if self.args is None else f"{self.module}{self.args}"
 
@@ -95,14 +93,18 @@ class DependencyGraph:
     groups: tuple[ConditionGroup, ...] = ()
     preconditions: tuple[tuple[ModuleKey, tuple[str, ...]], ...] = ()
 
-    # -- validation ----------------------------------------------------
+    # -- validation (run once per graph, then read from the cache) ------
+
+    @cached_property
+    def _diagnostics(self) -> tuple[Diagnostic, ...]:
+        return tuple(_validate(self.conditions, self.groups, self.preconditions, {}))
 
     def validate(self) -> list[Diagnostic]:
         """Return every problem found; an empty list means usable."""
-        return _validate(self.conditions, self.groups, self.preconditions, {})
+        return list(self._diagnostics)
 
     def require_valid(self) -> None:
-        errors = [d for d in self.validate() if d.severity == "error"]
+        errors = [d for d in self._diagnostics if d.severity == "error"]
         if errors:
             raise GraphError(errors)
 
@@ -163,11 +165,8 @@ class DependencyGraph:
 
     def conditions_set_by(self, module: str, args: str | None = None) -> set[str]:
         """Conditions satisfied when (module, args) finishes its init."""
-        out: set[str] = set()
-        for key, name in self._conditions_by_module.get(module, ()):
-            if key.matches_start(module, args):
-                out.add(name)
-        return out
+        return {name for key, name in self._conditions_by_module.get(module, ())
+                if key.args is None or key.args == args}
 
     def setter_of(self, condition: str) -> ModuleKey | None:
         """The module key whose startup sets this condition."""
@@ -181,39 +180,40 @@ class DependencyGraph:
         after the setter's init).  A wildcard key is conservatively
         treated as matching every exact key with the same module name.
         """
+        return None if self._cycle is None else list(self._cycle)
+
+    @cached_property
+    def _cycle(self) -> tuple[ModuleKey, ...] | None:
+        return self._find_cycle()
+
+    def _find_cycle(self) -> tuple[ModuleKey, ...] | None:
         vertices: list[ModuleKey] = []
-        seen: set[ModuleKey] = set()
-        for key, _ in self.conditions:
-            if key not in seen:
-                seen.add(key)
-                vertices.append(key)
-        for key, _ in self.preconditions:
-            if key not in seen:
-                seen.add(key)
+        by_module: dict[str, dict[str | None, ModuleKey]] = {}  # module -> args -> key
+        for key, _ in self.conditions + self.preconditions:
+            variants = by_module.setdefault(key.module, {})
+            if key.args not in variants:
+                variants[key.args] = key
                 vertices.append(key)
 
-        by_module: dict[str, list[ModuleKey]] = {}
-        for v in vertices:
-            by_module.setdefault(v.module, []).append(v)
+        # A wildcard key touches every key of its module, an exact key
+        # itself and its module's wildcard, both in declaration order.
+        closure: dict[ModuleKey, tuple[ModuleKey, ...]] = {}
+        for variants in by_module.values():
+            related = tuple(variants.values())
+            for args, key in variants.items():
+                closure[key] = related if args is None else tuple(
+                    k for k in related if k.args is None or k.args == args)
 
-        def closure(key: ModuleKey) -> list[ModuleKey]:
-            related = by_module.get(key.module, [])
-            if key.args is None:
-                return related  # wildcard touches every variant
-            return [k for k in related if k == key or k.args is None]
-
-        edges: dict[ModuleKey, list[ModuleKey]] = {v: [] for v in vertices}
-        edge_set: set[tuple[ModuleKey, ModuleKey]] = set()
+        # Out-edges in insertion order; a repeated edge keeps its first place.
+        edges: dict[ModuleKey, dict[ModuleKey, None]] = {v: {} for v in vertices}
         for waiter_key, names in self.preconditions:
+            waiters = dict.fromkeys(closure[waiter_key])
             for cond in sorted(self.expand_names(names)):
                 setter_key = self._setter_by_condition.get(cond)
                 if setter_key is None:
                     continue
-                for src in closure(setter_key):
-                    for dst in closure(waiter_key):
-                        if (src, dst) not in edge_set:
-                            edge_set.add((src, dst))
-                            edges[src].append(dst)
+                for src in closure[setter_key]:
+                    edges[src].update(waiters)
 
         # Depth-first search with an explicit stack, so long chains cannot
         # exhaust the interpreter's recursion limit.  ``path`` holds the
@@ -235,7 +235,7 @@ class DependencyGraph:
                         pending.append(iter(edges[w]))
                         break
                     if state == 1:
-                        return path[path.index(w):]
+                        return tuple(path[path.index(w):])
                 else:
                     pending.pop()
                     color[path.pop()] = 2

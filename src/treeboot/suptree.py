@@ -173,6 +173,29 @@ class ChildSpec:
     def iter_nodes(self) -> Iterator["ChildSpec"]:
         return (spec for _, spec, _, _ in self.walk())
 
+    # The generated dataclass methods would recurse into ``children`` and
+    # fail on deep trees; these compare and hash the pre-order walk, one
+    # node's own fields and child count at a time.
+
+    def _own_fields(self) -> tuple:
+        return (self.id, self.module, self.args, self.restart, self.kind,
+                self.start_mode, self.init, self.flags, len(self.children))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or all(
+            a._own_fields() == b._own_fields()
+            for a, b in zip(self.iter_nodes(), other.iter_nodes()))
+
+    def __hash__(self):
+        return hash(tuple(spec._own_fields() for spec in self.iter_nodes()))
+
+    def __repr__(self):
+        own = ", ".join(f"{name}={getattr(self, name)!r}"
+                        for name in self.__dataclass_fields__ if name != "children")
+        return f"ChildSpec({own}, children=<{len(self.children)}>)"
+
 
 class Node:
     """A live supervision-tree node (worker, supervisor, or wrapper)."""
@@ -202,9 +225,18 @@ class Node:
 
     def shape(self):
         """Nested (id-ish, kind, children) tuples of live nodes."""
-        name = self.path.rsplit("/", 1)[-1]
-        return (name, self.kind,
-                tuple(c.shape() for c in self.children if c.state != "terminated"))
+        order, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            live = [c for c in node.children if c.state != "terminated"]
+            order.append((node, live))
+            stack.extend(live)
+        # Reversed, the pre-order puts every child before its parent.
+        shapes: dict[Node, tuple] = {}
+        for node, live in reversed(order):
+            shapes[node] = (node.path.rsplit("/", 1)[-1], node.kind,
+                            tuple(shapes.pop(c) for c in live))
+        return shapes[self]
 
     def __repr__(self):
         return f"<Node {self.path} {self.kind} {self.state}>"
@@ -452,18 +484,22 @@ class Runtime:
 
     def _run_concurrent_start(self, wrapper: Node, spec: ChildSpec, child_path: str):
         node, ok = self._start(wrapper, spec, child_path, None)
-        if not ok:
+        with self.clock.cond:
+            if wrapper.state == "terminated":
+                # The wrapper went down with its parent while the child was
+                # starting: the child follows it and never attaches.
+                self._terminate_subtree(node, emit_self=True, reason="parent-terminated")
+                return
+            if ok:
+                wrapper.children.append(node)
+                self._emit("attach", wrapper.path, child=child_path)
+                self._last_done_ms = max(self._last_done_ms, self.clock.now())
+                return
             # The wrapper's zero budget terminates it and the slot's fate
             # goes back to the original parent.
-            with self.clock.cond:
-                wrapper.state = "terminated"
-                self._emit("terminate", wrapper.path, reason="child-start-failure")
-            self._handle_child_exit(wrapper.parent, wrapper, [])
-            return
-        with self.clock.cond:
-            wrapper.children.append(node)
-            self._emit("attach", wrapper.path, child=child_path)
-            self._last_done_ms = max(self._last_done_ms, self.clock.now())
+            wrapper.state = "terminated"
+            self._emit("terminate", wrapper.path, reason="child-start-failure")
+        self._handle_child_exit(wrapper.parent, wrapper, [])
 
     # -- crash handling -------------------------------------------------------
 

@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import treeboot.depgraph as depgraph
 from treeboot import (
     ConditionGroup,
+    ConditionStore,
     DependencyGraph,
     GraphError,
     ModuleKey,
+    VirtualClock,
+    boot_system,
+    critical_path,
     parse_release_graph,
+    parse_tree,
     serialize_release_graph,
 )
 
 from conftest import CYCLE_GRAPH, TWO_APP_GRAPH, chain_graph_text
+
+WITNESS_GOLDEN = Path(__file__).parent / "golden" / "cycle_witnesses.txt"
+WITNESS_SEEDS = range(2000)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -255,6 +267,112 @@ def test_cycle_check_long_chain_and_ring():
     assert [str(k) for k in ring.cycle_check()] == [f"m{i}" for i in range(n)]
 
 
+def random_graph(seed: int) -> DependencyGraph:
+    """A small seeded graph over a few modules, mixing wildcard and exact
+    keys, groups and preconditions; about half of the draws are cyclic.
+    A waiter mostly waits on other modules' conditions, so the cycles are
+    not all self-waits.  Some draws also get an unknown name or a
+    duplicate module key."""
+    rng = random.Random(seed)
+    modules = [f"m{i}" for i in range(rng.randint(2, 12))]
+
+    def key() -> ModuleKey:
+        return ModuleKey(rng.choice(modules), rng.choice((None, "[1]", "[2]", "[1]", "[2]")))
+
+    keys = list(dict.fromkeys(key() for _ in range(rng.randint(1, 10))))
+    conditions = [(k, f"c{i}") for i, k in enumerate(keys)]
+    names = [name for _, name in conditions]
+    groups = tuple(
+        ConditionGroup(f"g{g}", tuple(rng.sample(names, rng.randint(1, min(3, len(names))))))
+        for g in range(rng.randint(0, 2)))
+    usable = names + [g.name for g in groups]
+    setter = {name: k.module for k, name in conditions}
+    preconditions = []
+    for k in dict.fromkeys(key() for _ in range(rng.randint(1, 10))):
+        pool = [n for n in usable if setter.get(n) != k.module or rng.random() < 0.1]
+        if pool:
+            preconditions.append((k, tuple(rng.sample(pool, rng.randint(1, min(2, len(pool)))))))
+    if rng.random() < 0.08:
+        preconditions.append((key(), ("nope",)))
+    if rng.random() < 0.05:
+        conditions.append((keys[0], "c_dup"))
+    return DependencyGraph(tuple(conditions), groups, tuple(preconditions))
+
+
+def witness_line(seed: int) -> str:
+    graph = random_graph(seed)
+    witness = graph.cycle_check()
+    shown = "-" if witness is None else " ".join(str(k) for k in witness)
+    return f"{seed}: {shown} | {'; '.join(d.render() for d in graph.validate())}"
+
+
+def test_cycle_check_witness_golden():
+    """Witnesses and diagnostics of 2000 seeded graphs, written with the
+    scan-based search that the indexed one replaced."""
+    lines = WITNESS_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert [witness_line(seed) for seed in WITNESS_SEEDS] == lines
+
+
+# -- checked once per graph -------------------------------------------------------
+
+ONCE_GRAPH = """\
+[conditions]
+a * -> ca
+b [1] -> cb
+[groups]
+g = ca, cb
+[preconditions]
+c * <- g
+"""
+
+ONCE_TREE = """\
+sup root
+  worker a init=sleep:1 mode=concurrent
+  worker b args=[1] init=sleep:2 mode=concurrent
+  worker c init=sleep:1 mode=concurrent
+"""
+
+
+def test_checks_run_once_per_graph(monkeypatch):
+    graph, tree = parse_release_graph(ONCE_GRAPH), parse_tree(ONCE_TREE)
+    calls = {"validate": 0, "cycle search": 0}
+    validate, find_cycle = depgraph._validate, DependencyGraph._find_cycle
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    def counting_find_cycle(self):
+        calls["cycle search"] += 1
+        return find_cycle(self)
+
+    monkeypatch.setattr(depgraph, "_validate", counting_validate)
+    monkeypatch.setattr(DependencyGraph, "_find_cycle", counting_find_cycle)
+    assert critical_path(tree, graph) == 3.0
+    ConditionStore(graph)
+    for _ in range(3):
+        result = boot_system(graph, [("app", tree)], clock=VirtualClock())
+        assert result.report.duration_ms == 3.0
+    assert graph.validate() == [] and graph.cycle_check() is None
+    assert calls == {"validate": 1, "cycle search": 1}
+
+
+def test_returned_check_lists_are_copies():
+    bad = DependencyGraph(preconditions=((ModuleKey("m"), ("nope",)),))
+    diagnostics = bad.validate()
+    assert [d.code for d in diagnostics] == ["unknown-name"]
+    diagnostics.clear()
+    assert [d.code for d in bad.validate()] == ["unknown-name"]
+    with pytest.raises(GraphError):
+        bad.require_valid()
+
+    cyclic = parse_release_graph(CYCLE_GRAPH)
+    witness = cyclic.cycle_check()
+    witness.reverse()
+    witness.append(ModuleKey("x"))
+    assert [str(k) for k in cyclic.cycle_check()] == ["worker_a", "worker_b"]
+
+
 # -- properties ---------------------------------------------------------------
 
 _name = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
@@ -357,3 +475,10 @@ def test_cycle_check_agrees_with_independent_dfs(graph):
         # the witness must be a real cycle in the wait graph
         for a, b in zip(witness, witness[1:] + witness[:1]):
             assert b in edges.get(a, ())
+
+
+if __name__ == "__main__":
+    # Regenerate the witness golden (only for an intended change of witness):
+    #     PYTHONPATH=src python tests/test_depgraph.py
+    WITNESS_GOLDEN.write_text(
+        "".join(witness_line(seed) + "\n" for seed in WITNESS_SEEDS), encoding="utf-8")

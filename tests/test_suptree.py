@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -262,6 +265,32 @@ def test_crash_terminated_node_is_noop():
     assert len(store.trace.events) == before
 
 
+def test_root_failure_terminates_a_child_that_was_still_starting():
+    """The root fails while a concurrent child's init still runs: the
+    wrapper goes down with the root, and once the starter finishes the child
+    goes down too instead of attaching to the dead wrapper."""
+    tree = parse_tree("sup root restarts=0/1\n"
+                      "  worker slow init=sleep:5 mode=concurrent\n"
+                      "  worker bad init=fail\n")
+    rt, store, _ = fresh()
+    with pytest.raises(StartupError):
+        rt.start_tree(tree)
+    for thread in threading.enumerate():
+        if thread.name == "starter:root/slow":
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    events = store.trace.events
+    wrapper_down = next(i for i, e in enumerate(events)
+                        if e.kind == "terminate" and e.node == "root/slow#wrap")
+    assert [(e.ts, e.kind, e.node, e.get("reason")) for e in events[wrapper_down + 1:]] == [
+        (0.0, "terminate", "root", "child-start-failure"),
+        (5.0, "init_end", "root/slow", None),
+        (5.0, "ack", "root/slow", None),
+        (5.0, "terminate", "root/slow", "parent-terminated"),
+    ]
+    assert not any(e.kind == "attach" for e in events)
+
+
 def test_temporary_child_not_restarted():
     rt, store, clock = fresh()
     root = rt.start_supervisor(SupervisorFlags(), (
@@ -355,6 +384,56 @@ def test_deep_chain_crash_escalates_once_per_supervisor():
     assert root.state == "terminated"
     with pytest.raises(StartupError):
         rt.await_quiescence()
+
+
+def chain_spec(depth: int, leaf_init: InitModel = InitModel()) -> ChildSpec:
+    spec = ChildSpec(id=f"n{depth - 1}", module="m", init=leaf_init)
+    for level in reversed(range(depth - 1)):
+        spec = ChildSpec(id=f"n{level}", module="m", kind="supervisor", children=(spec,))
+    return spec
+
+
+def test_deep_chain_spec_eq_hash_repr():
+    a, b = chain_spec(2000), chain_spec(2000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = chain_spec(2000, InitModel.sleep(1))  # differs only at the deepest node
+    assert a != other and hash(a) != hash(other)
+    assert a != chain_spec(1999) and a != "n0"
+    assert {a, b, other} == {a, other}
+    assert repr(a) == (
+        "ChildSpec(id='n0', module='m', args=None, restart='permanent', kind='supervisor', "
+        "start_mode='sequential', init=InitModel(kind='none', duration_ms=0.0, fn=None), "
+        "flags=SupervisorFlags(max_restarts=3, max_seconds=5.0), children=<1>)")
+
+
+def test_spec_eq_compares_every_field_and_the_shape():
+    base = parse_tree(TREE_TEXT)
+    assert base == parse_tree(TREE_TEXT)
+    leaf = base.children[0]
+    for changed in (replace(leaf, args="[x]"), replace(leaf, restart="temporary"),
+                    replace(leaf, start_mode="concurrent"), replace(leaf, init=InitModel.sleep(9))):
+        tree = replace(base, children=(changed, *base.children[1:]))
+        assert tree != base
+    # the same pre-order ids under a different shape
+    flat = ChildSpec(id="r", module="r", kind="supervisor", children=(
+        ChildSpec(id="a", module="a", kind="supervisor", children=(
+            ChildSpec(id="b", module="b"),)),
+        ChildSpec(id="c", module="c")))
+    nested = ChildSpec(id="r", module="r", kind="supervisor", children=(
+        ChildSpec(id="a", module="a", kind="supervisor", children=(
+            ChildSpec(id="b", module="b"), ChildSpec(id="c", module="c"))),))
+    assert flat != nested
+
+
+def test_deep_chain_shape():
+    rt, _, _ = fresh()
+    root = rt.start_tree(chain_spec(2000))
+    rt.await_quiescence()
+    shape, depth = root.shape(), 0
+    while shape[2]:
+        assert shape[:2] == (f"n{depth}", "supervisor") and len(shape[2]) == 1
+        shape, depth = shape[2][0], depth + 1
+    assert (shape, depth) == (("n1999", "worker", ()), 1999)
 
 
 # -- spec walk ------------------------------------------------------------------------
@@ -556,8 +635,8 @@ def test_deep_tree_parses_and_round_trips():
     text = "".join(f"{'  ' * depth}sup n{depth}\n" for depth in range(2000))
     root = parse_tree(text)
     assert root.id == "n0" and root.children[0].id == "n1"
-    # text, not specs: ChildSpec.__eq__ recurses through all 2000 levels
     assert serialize_tree(root) == text
+    assert parse_tree(serialize_tree(root)) == root
 
 
 _TREE_KEYS = ("module", "args", "restart", "init", "mode", "restarts",
