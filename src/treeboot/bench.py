@@ -44,7 +44,8 @@ CSV_COLUMNS = ("topology", "mode", "placement", "tagged_count", "fork_depth",
 class TopologySpec:
     """deep: 3-regular, depth 6 (1093 nodes).  wide: 10-regular, depth 2
     (111 nodes).  random: per-node child count uniform in [1, 5], leaves
-    forced at level 5; fully determined by the seed."""
+    forced at level 5; fully determined by the seed, and takes no
+    branching."""
 
     kind: str  # deep | wide | random
     branching: int | None = None
@@ -53,10 +54,14 @@ class TopologySpec:
 
     def resolved(self) -> tuple[int | None, int]:
         if self.kind == "deep":
-            return (self.branching or 3, self.depth if self.depth is not None else 6)
+            return (self.branching if self.branching is not None else 3,
+                    self.depth if self.depth is not None else 6)
         if self.kind == "wide":
-            return (self.branching or 10, self.depth if self.depth is not None else 2)
+            return (self.branching if self.branching is not None else 10,
+                    self.depth if self.depth is not None else 2)
         if self.kind == "random":
+            if self.branching is not None:
+                raise ValueError("the random topology draws its branching; it takes none")
             return (None, self.depth if self.depth is not None else 5)
         raise ValueError(f"unknown topology kind {self.kind!r}")
 
@@ -203,130 +208,102 @@ def place_forks(root: ChildSpec, placement: ForkPlacement) -> tuple[ChildSpec, i
 
 # -- analytic model -----------------------------------------------------------
 
-_MAX, _MIN = 0, 1
-
-
-class _Milestone:
-    __slots__ = ("op", "offset", "deps", "value", "blocking",
-                 "remaining", "acc", "queued")
-
-    def __init__(self, op, offset=0.0):
-        self.op = op
-        self.offset = offset
-        self.deps: list[str] = []
-        self.value: float | None = None
-        self.blocking: list[str] = []  # milestones depending on this one
-        self.remaining = 0  # unfired deps (max nodes wait for all)
-        self.acc = 0.0  # running max of fired dep values
-        self.queued = False
-
 
 def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
                   *, force_sequential: bool = False) -> float:
     """Predicted startup duration under sleep delays and unbounded
-    parallelism: the longest path through the combined precedence DAG of
-    sequential-sibling edges, parent-before-child edges, and condition
-    wait edges.
+    parallelism: the latest init end in the combined precedence order of
+    parent-before-child, sequential-sibling and condition-wait edges.
 
-    Raises ValueError when the combined ordering is cyclic or a needed
-    condition has no setter in the tree.
+    A node is requested at its cursor: its parent's init end, or the ack
+    of its latest sequential older sibling.  It acks at its own init end,
+    or at its last sequential child's ack.  So every ack is some init
+    end, and the latest ack is the latest init end.  The model thus has
+    one milestone per node, its init end (the latest of its cursor and its
+    conditions, plus its init duration), and one per needed condition (the
+    earliest init end of its setters).
+
+    Raises ValueError when a needed condition has no setter in the tree,
+    or when the combined ordering is cyclic (naming stuck node paths and
+    conditions).
     """
     graph = graph if graph is not None else DependencyGraph()
     graph.require_valid()
-    table: dict[str, _Milestone] = {}
 
-    def add(name: str, op: int, offset: float = 0.0) -> _Milestone:
-        m = _Milestone(op, offset)
-        table[name] = m
-        return m
-
-    def dep(name: str, on: str) -> None:
-        table[name].deps.append(on)
-
-    nodes = [(path, spec) for path, spec, _, _ in root.walk()]
-
-    # tree milestones
-    for path, spec in nodes:
-        add(f"req:{path}", _MAX)
-        add(f"wdone:{path}", _MAX)
-        add(f"idone:{path}", _MAX, offset=spec.init.duration_ms)
-        add(f"ack:{path}", _MAX)
-        dep(f"wdone:{path}", f"req:{path}")
-        dep(f"idone:{path}", f"wdone:{path}")
-
-    # condition milestones (first setter wins, hence min)
-    needed_conditions: set[str] = set()
-    setters: dict[str, list[str]] = {}  # condition -> idone milestones of its setters
-    for path, spec in nodes:
-        needed_conditions.update(graph.expand_preconditions(spec.key()))
+    # Node milestones 0..count-1 in pre-order; condition milestones follow.
+    paths: list[str] = []
+    offsets: list[float] = []
+    waits: list[set[str]] = []
+    children: list[list[int]] = []
+    sequential: list[bool] = []
+    setters: dict[str, list[int]] = {}
+    index_of: dict[str, int] = {}
+    for index, (path, spec, parent, _) in enumerate(root.walk()):
+        paths.append(path)
+        offsets.append(spec.init.duration_ms)
+        waits.append(graph.expand_preconditions(spec.key()))
+        children.append([])
+        sequential.append(force_sequential or spec.start_mode != "concurrent")
         for name in graph.conditions_set_by(spec.module, spec.args):
-            setters.setdefault(name, []).append(f"idone:{path}")
-    for name in sorted(needed_conditions):
-        m = add(f"set:{name}", _MIN)
-        m.deps.extend(setters.get(name, ()))
-        if not m.deps:
+            setters.setdefault(name, []).append(index)
+        index_of[path] = index
+        if parent is not None:
+            children[index_of[parent]].append(index)
+
+    # followers[m] lists the milestones that m is an input of; remaining[m]
+    # counts the inputs m still waits for: its cursor (all but the root)
+    # and its conditions, or, for a condition, its first setter.
+    count = len(paths)
+    followers: list[list[int]] = [[] for _ in range(count)]
+    remaining = [len(names) + 1 for names in waits]
+    remaining[0] -= 1
+    ack = list(range(count))
+    for index in reversed(range(count)):  # every child's ack is known
+        cursor = index
+        for child in children[index]:
+            followers[cursor].append(child)
+            if sequential[child]:
+                cursor = ack[child]
+        ack[index] = cursor
+
+    conditions = sorted(set().union(*waits))
+    milestone: dict[str, int] = {}
+    for name in conditions:
+        if name not in setters:
             raise ValueError(f"condition {name!r} is never set by any tree node")
+        milestone[name] = len(followers)
+        for setter in setters[name]:
+            followers[setter].append(len(followers))
+        followers.append([])
+        offsets.append(0.0)
+        remaining.append(1)
+    for index, names in enumerate(waits):
+        for name in names:
+            followers[milestone[name]].append(index)
 
-    # wire per-node edges
-    for path, spec in nodes:
-        for name in sorted(graph.expand_preconditions(spec.key())):
-            dep(f"wdone:{path}", f"set:{name}")
-        if spec.kind != "supervisor" or not spec.children:
-            dep(f"ack:{path}", f"idone:{path}")
-            continue
-        cursor = f"idone:{path}"
-        for child in spec.children:
-            child_path = f"{path}/{child.id}"
-            concurrent = child.start_mode == "concurrent" and not force_sequential
-            dep(f"req:{child_path}", cursor)
-            if not concurrent:
-                cursor = f"ack:{child_path}"
-        dep(f"ack:{path}", cursor)
-
-    # Evaluate on a time-ordered frontier.  A max milestone fires once all
-    # of its inputs fired (value = max + offset); a min milestone fires at
-    # its first-arriving input — later setters of the same condition may
-    # legitimately depend back on the waiter, so demanding all inputs
-    # (plain topological evaluation) would see a cycle that the actual
-    # first-flip semantics never executes.
-    for name, m in table.items():
-        m.remaining = len(m.deps)
-        for d in m.deps:
-            table[d].blocking.append(name)
-
-    frontier: list[tuple[float, str]] = []
-    for name, m in sorted(table.items()):
-        if m.op == _MAX and m.remaining == 0:
-            m.queued = True
-            heapq.heappush(frontier, (m.offset, name))
-
-    fired = 0
+    # Evaluate on a time-ordered frontier.  A node fires once all of its
+    # inputs fired, a condition at its first-arriving input: later setters
+    # of the same condition may legitimately depend back on the waiter, so
+    # demanding all inputs (plain topological evaluation) would see a
+    # cycle that the actual first-flip semantics never executes.  Pops
+    # never go back in time, so the input that completes a milestone is
+    # its latest (for a condition, its earliest).
+    ends: list[float | None] = [None] * len(followers)
+    frontier = [] if remaining[0] else [(offsets[0], 0)]
     while frontier:
-        value, name = heapq.heappop(frontier)
-        m = table[name]
-        if m.value is not None:
-            continue
-        m.value = value
-        fired += 1
-        for follower_name in m.blocking:
-            follower = table[follower_name]
-            if follower.value is not None:
-                continue
-            if follower.op == _MAX:
-                follower.remaining -= 1
-                follower.acc = max(follower.acc, value)
-                if follower.remaining == 0:
-                    heapq.heappush(frontier,
-                                   (follower.acc + follower.offset, follower_name))
-            elif not follower.queued:
-                follower.queued = True  # first input is the minimum
-                heapq.heappush(frontier, (value + follower.offset, follower_name))
+        time, index = heapq.heappop(frontier)
+        ends[index] = time
+        for follower in followers[index]:
+            remaining[follower] -= 1
+            if remaining[follower] == 0:
+                heapq.heappush(frontier, (time + offsets[follower], follower))
 
-    if fired != len(table):
-        stuck = sorted(name for name, m in table.items() if m.value is None)
-        raise ValueError(f"cyclic combined ordering (stuck at {stuck[:4]}...)")
-
-    return max(table[f"ack:{path}"].value for path, _ in nodes)
+    if None in ends:
+        stuck = [paths[index] for index in range(count) if ends[index] is None]
+        stuck += [name for name in conditions if ends[milestone[name]] is None]
+        raise ValueError(f"cyclic combined ordering (stuck at {', '.join(stuck[:4])}"
+                         f"{', ...' if len(stuck) > 4 else ''})")
+    return max(ends[:count])
 
 
 # -- running ----------------------------------------------------------------

@@ -23,7 +23,8 @@ from .clock import Clock, WallClock
 from .condsrv import DEFAULT_DEADLOCK_TIMEOUT_MS, ConditionStore
 from .depgraph import DependencyGraph, parse_release_graph
 from .errors import BootRefusedError, ReleaseError
-from .suptree import ChildSpec, Node, Runtime, StartupReport, parse_tree
+from .suptree import (ChildSpec, Node, Runtime, StartupReport, check_quiescence_timeout,
+                      parse_tree)
 from .tracing import TraceSink
 
 __all__ = [
@@ -127,6 +128,7 @@ def boot_system(
     """
     if mode not in ("as-specified", "sequential"):
         raise ValueError(f"bad mode {mode!r}")
+    check_quiescence_timeout(quiescence_timeout_ms)
     graph.require_valid()
     cycle = graph.cycle_check()
     if cycle is not None and not allow_cycles:

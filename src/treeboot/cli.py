@@ -96,6 +96,9 @@ def cmd_run(args) -> int:
     except (StartupError, QuiescenceTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
 
     if args.trace:
         result.system.trace.write(args.trace)
@@ -143,6 +146,9 @@ def cmd_bench(args) -> int:
     if args.fork_depth is not None and args.fork_count is not None:
         print("error: --fork-depth and --fork-count are mutually exclusive",
               file=sys.stderr)
+        return USAGE
+    if args.append and not args.out:
+        print("error: --append needs --out", file=sys.stderr)
         return USAGE
     if args.fork_depth is not None:
         placement = bench_mod.ForkPlacement.at_depth(args.fork_depth)

@@ -172,7 +172,6 @@ class VirtualClock(Clock):
 
     def notify_all(self) -> None:
         self._release_ready()
-        self.cond.notify_all()
 
     def spawn(self, fn, name) -> threading.Thread:
         # The child counts as active from before start() so the clock can
@@ -191,7 +190,6 @@ class VirtualClock(Clock):
                 with self.cond:
                     self._active -= 1
                     self._advance_if_idle()
-                    self.cond.notify_all()
 
         thread = threading.Thread(target=run, name=name, daemon=True)
         thread.start()
@@ -212,7 +210,6 @@ class VirtualClock(Clock):
                 with self.cond:
                     self._active -= 1
                     self._advance_if_idle()
-                    self.cond.notify_all()
 
     # -- internals, all called with cond held --
 

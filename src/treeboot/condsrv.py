@@ -14,6 +14,7 @@ are deterministic even though thread wake-up order is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .clock import Clock, WallClock
@@ -84,8 +85,9 @@ class ConditionStore:
         trace: TraceSink | None = None,
     ):
         graph.require_valid()
-        if deadlock_timeout_ms <= 0:
-            raise ValueError("deadlock_timeout_ms must be positive")
+        if not 0 < deadlock_timeout_ms < math.inf:
+            raise ValueError("deadlock timeout must be > 0 and finite, "
+                             f"not {deadlock_timeout_ms!r}")
         self.graph = graph
         self.clock = clock if clock is not None else WallClock()
         self.trace = trace if trace is not None else TraceSink()

@@ -74,7 +74,6 @@ class Diagnostic:
     code: str
     message: str
     line: int | None = None
-    column: int | None = None
 
     def render(self) -> str:
         where = f"line {self.line}: " if self.line is not None else ""

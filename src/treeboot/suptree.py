@@ -321,6 +321,7 @@ class Runtime:
     def await_quiescence(self, timeout_ms: float | None = None) -> StartupReport:
         """Block until every node acked and every concurrent attach
         finished; returns the startup timing report."""
+        check_quiescence_timeout(timeout_ms)
         with self.clock.attached():
             with self.clock.cond:
                 deadline = None if timeout_ms is None else self.clock.now() + timeout_ms
@@ -608,6 +609,12 @@ def run_worker_lifecycle(spec: ChildSpec, store: ConditionStore,
     node_path = path if path is not None else spec.id
     with runtime.clock.attached():
         return runtime._start(None, spec, node_path, runtime.roots)[1]
+
+
+def check_quiescence_timeout(timeout_ms: float | None) -> None:
+    """A quiescence timeout is None (no limit) or a finite number >= 0."""
+    if timeout_ms is not None and not 0 <= timeout_ms < math.inf:
+        raise ValueError(f"quiescence timeout must be >= 0 and finite, not {timeout_ms!r}")
 
 
 def await_quiescence(root: Node, timeout_ms: float | None = None) -> StartupReport:

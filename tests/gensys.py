@@ -140,3 +140,42 @@ def random_system(seed: int, *, max_depth: int = 5, min_modules: int = 10,
         path for path, _ in order[1:] if rng.random() < 0.3
     }
     return GeneratedSystem(seed, graph, root, frozenset(concurrent_paths))
+
+
+def unconstrained_system(seed: int) -> tuple[ChildSpec, DependencyGraph]:
+    """A small seeded tree, start modes drawn, and a valid graph over its
+    modules with no liveness guarantee: a wait may point at a later
+    setter, at a condition no tree node sets, or round in a cycle."""
+    rng = random.Random(seed)
+    pool = [f"m{i}" for i in range(rng.randint(2, 6))]
+    counter = [0]
+
+    def build(depth: int) -> ChildSpec:
+        node_id = f"n{counter[0]}"
+        counter[0] += 1
+        mode = "concurrent" if depth > 0 and rng.random() < 0.4 else "sequential"
+        init = InitModel.sleep(float(rng.randint(1, 5)))
+        width = 0 if depth == 3 else rng.randint(0, 3)
+        children = tuple(build(depth + 1) for _ in range(width))
+        return ChildSpec(id=node_id, module=rng.choice(pool),
+                         args=rng.choice((None, "[1]", "[2]")),
+                         kind="supervisor" if children else "worker",
+                         start_mode=mode, init=init, children=children)
+
+    root = build(0)
+    setters = pool + ["ghost"]
+
+    def key() -> ModuleKey:
+        return ModuleKey(rng.choice(setters), rng.choice((None, "[1]", "[2]")))
+
+    conditions = [(k, f"c{i}") for i, k in
+                  enumerate(dict.fromkeys(key() for _ in range(rng.randint(1, 6))))]
+    names = [name for _, name in conditions]
+    groups = tuple(
+        ConditionGroup(f"g{g}", tuple(rng.sample(names, rng.randint(1, min(3, len(names))))))
+        for g in range(rng.randint(0, 2)))
+    usable = names + [g.name for g in groups]
+    preconditions = tuple(
+        (k, tuple(rng.sample(usable, rng.randint(1, min(2, len(usable))))))
+        for k in dict.fromkeys(key() for _ in range(rng.randint(1, 5))))
+    return root, DependencyGraph(tuple(conditions), groups, preconditions)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from pathlib import Path
+
 import pytest
 
 from treeboot import (
@@ -21,7 +24,13 @@ from treeboot import (
     run_benchmark,
 )
 
+from gensys import random_system, unconstrained_system
 from sched_oracle import compositional_duration, simulate_schedule
+
+PATHS_GOLDEN = Path(__file__).parent / "golden" / "critical_paths.txt"
+SYSTEM_SEEDS = range(400)
+UNCONSTRAINED_SEEDS = range(500)
+PLACEMENTS = ("root", "tagged", "all")
 
 
 def node_count(spec: ChildSpec) -> int:
@@ -59,6 +68,11 @@ def test_random_topology_deterministic_and_bounded():
             check(c, depth + 1)
 
     check(a, 0)
+
+
+def test_random_topology_refuses_branching():
+    with pytest.raises(ValueError, match="branching"):
+        gen_topology(TopologySpec("random", branching=7), unit_delays())
 
 
 def test_random_topology_different_seeds_differ():
@@ -204,12 +218,80 @@ def test_critical_path_cycle_detected():
         critical_path(root, graph)
 
 
+def test_critical_path_cycle_names_stuck_nodes_and_conditions():
+    graph = parse_release_graph(
+        "[conditions]\nma * -> c_a\nmb * -> c_b\n"
+        "[preconditions]\nma * <- c_b\nmb * <- c_a\n")
+    root = ChildSpec(id="r", module="r", kind="supervisor", children=(
+        ChildSpec(id="a", module="ma", start_mode="concurrent"),
+        ChildSpec(id="b", module="mb"),
+    ))
+    with pytest.raises(ValueError) as exc:
+        critical_path(root, graph)
+    assert str(exc.value) == "cyclic combined ordering (stuck at r/a, r/b, c_a, c_b)"
+
+
 def test_critical_path_unset_condition_detected():
     graph = parse_release_graph(
         "[conditions]\nghost * -> c_g\n[preconditions]\nma * <- c_g\n")
     root = ChildSpec(id="a", module="ma")
     with pytest.raises(ValueError, match="never set"):
         critical_path(root, graph)
+
+
+def placed_systems(seed: int) -> dict:
+    """``gensys.random_system(seed)`` as {placement: (tree, graph)}: every
+    node sequential (root), the seeded random placement (tagged), or every
+    non-root node concurrent (all)."""
+    system = random_system(seed)
+    trees = (system.root, system.tagged_root(), system.tagged_root(all_concurrent=True))
+    return {placement: (tree, system.graph) for placement, tree in zip(PLACEMENTS, trees)}
+
+
+def prediction_text(tree, graph, force_sequential: bool) -> str:
+    """``repr`` of the prediction, or the kind of its ValueError."""
+    try:
+        return repr(critical_path(tree, graph, force_sequential=force_sequential))
+    except ValueError as exc:
+        return "cyclic" if "cyclic" in str(exc) else "never-set"
+
+
+@lru_cache(maxsize=None)
+def system_predictions(seed: int) -> dict:
+    """{(placement, force_sequential): prediction_text} of one live system;
+    kept, so that the oracle test does not predict again."""
+    return {(placement, fs): prediction_text(tree, graph, fs)
+            for placement, (tree, graph) in placed_systems(seed).items()
+            for fs in (False, True)}
+
+
+def critical_path_lines() -> list[str]:
+    lines = [f"{seed} {placement} {fs}: {text}"
+             for seed in SYSTEM_SEEDS
+             for (placement, fs), text in system_predictions(seed).items()]
+    for seed in UNCONSTRAINED_SEEDS:
+        tree, graph = unconstrained_system(seed)
+        lines += [f"u{seed} {fs}: {prediction_text(tree, graph, fs)}" for fs in (False, True)]
+    return lines
+
+
+def test_critical_path_golden():
+    """Predictions and error kinds of 2400 live and 1000 unconstrained
+    cases, written with the string-keyed four-milestones-per-node model
+    that the per-node one replaced."""
+    lines = PATHS_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert critical_path_lines() == lines
+
+
+def test_critical_path_matches_simulation_with_conditions():
+    """The model and the event-driven oracle agree exactly on live systems
+    with condition waits, wildcards and groups, in every placement."""
+    for seed in SYSTEM_SEEDS:
+        predictions = system_predictions(seed)
+        for placement, (tree, graph) in placed_systems(seed).items():
+            for fs in (False, True):
+                simulated = simulate_schedule(tree, graph, force_sequential=fs)
+                assert predictions[placement, fs] == repr(simulated), (seed, placement, fs)
 
 
 # -- run_benchmark ----------------------------------------------------------------
@@ -307,3 +389,10 @@ def test_csv_round_trip_and_append(tmp_path):
     assert tuple(r["duration_ms"] for r in rows[2:]) == report2.results
     assert rows[2]["fork_depth"] == 2
     assert rows[0]["prediction_ms"] == report1.prediction_ms
+
+
+if __name__ == "__main__":
+    # Regenerate the prediction golden (only for an intended change of model):
+    #     PYTHONPATH=src python tests/test_bench.py
+    PATHS_GOLDEN.write_text("".join(line + "\n" for line in critical_path_lines()),
+                            encoding="utf-8")

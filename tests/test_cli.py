@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from treeboot.cli import main
@@ -207,9 +212,48 @@ def test_bench_writes_csv(workdir, tmp_path):
     assert lines[0].startswith("topology,mode,placement")
 
 
+CYCLE2 = ["demos/data/cycle2.rel", "--allow-cycles"]
+TWO_APPS = ["demos/data/two_apps.rel"]
+
+
+@pytest.mark.parametrize("args", [
+    CYCLE2 + ["--virtual-clock", "--deadlock-timeout", "nan"],
+    CYCLE2 + ["--virtual-clock", "--deadlock-timeout", "0"],
+    CYCLE2 + ["--virtual-clock", "--deadlock-timeout", "-1"],
+    CYCLE2 + ["--deadlock-timeout", "inf"],
+    TWO_APPS + ["--virtual-clock", "--quiescence-timeout", "nan"],
+    TWO_APPS + ["--virtual-clock", "--quiescence-timeout", "-1"],
+    TWO_APPS + ["--quiescence-timeout", "inf"],
+])
+def test_run_bad_timeout_exit_2(args):
+    # In a subprocess with a time limit: a NaN timeout used to hang the run.
+    root = Path(__file__).parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treeboot.cli", "run", *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_bench_conflicting_fork_flags_exit_2(workdir):
     assert main(["bench", "--topology", "deep", "--fork-depth", "1",
                  "--fork-count", "2", "--virtual-clock"]) == 2
+
+
+@pytest.mark.parametrize("topology, branching", [("random", "7"), ("deep", "0")])
+def test_bench_branching_it_would_ignore_exit_2(capsys, topology, branching):
+    # both used to boot the default tree: random dropped the flag, and
+    # deep read a zero branching as unset
+    assert main(["bench", "--topology", topology, "--branching", branching,
+                 "--virtual-clock", "--repeat", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_append_without_out_exit_2(capsys):
+    assert main(["bench", "--topology", "wide", "--virtual-clock", "--append"]) == 2
+    assert "--append needs --out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--delay-ms", "0"), ("--repeat", "0")])

@@ -49,6 +49,13 @@ def test_new_store_rejects_bad_timeout(two_app_graph):
         ConditionStore(two_app_graph, deadlock_timeout_ms=0)
 
 
+@pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+def test_new_store_rejects_negative_nan_and_infinite_timeouts(two_app_graph, timeout):
+    # NaN passed a "<= 0" test and never expired; inf overflowed a wall wait
+    with pytest.raises(ValueError, match="deadlock timeout"):
+        ConditionStore(two_app_graph, deadlock_timeout_ms=timeout)
+
+
 # -- set_condition ------------------------------------------------------------
 
 

@@ -325,6 +325,15 @@ def test_single_worker_report():
     assert report.node_count == 1 and report.wrapper_count == 0
 
 
+@pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+def test_await_quiescence_rejects_negative_nan_and_infinite_timeouts(timeout):
+    rt, _, _ = fresh()
+    rt.start_tree(ChildSpec(id="solo", module="m", init=InitModel.sleep(50)))
+    with pytest.raises(ValueError, match="quiescence timeout"):
+        rt.await_quiescence(timeout)
+    assert rt.await_quiescence(0.0).duration_ms == 50.0
+
+
 def test_wrapper_tree_report_counts():
     rt, store, _ = fresh()
     rt.start_supervisor(SupervisorFlags(), (
