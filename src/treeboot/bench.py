@@ -43,9 +43,9 @@ CSV_COLUMNS = ("topology", "mode", "placement", "tagged_count", "fork_depth",
 @dataclass(frozen=True)
 class TopologySpec:
     """deep: 3-regular, depth 6 (1093 nodes).  wide: 10-regular, depth 2
-    (111 nodes).  random: per-node child count uniform in [1, 5], leaves
-    forced at level 5; fully determined by the seed, and takes no
-    branching."""
+    (111 nodes).  Both draw nothing, so they take no seed.  random:
+    per-node child count uniform in [1, 5], leaves forced at level 5;
+    fully determined by the seed, and takes no branching."""
 
     kind: str  # deep | wide | random
     branching: int | None = None
@@ -53,6 +53,8 @@ class TopologySpec:
     seed: int = 0
 
     def resolved(self) -> tuple[int | None, int]:
+        if self.kind in ("deep", "wide") and self.seed != 0:
+            raise ValueError(f"the {self.kind} topology draws nothing; it takes no seed")
         if self.kind == "deep":
             return (self.branching if self.branching is not None else 3,
                     self.depth if self.depth is not None else 6)

@@ -110,6 +110,16 @@ def cmd_run(args) -> int:
     return OK
 
 
+def _is_release(text: str) -> bool:
+    """A release file's first line that is neither blank nor a comment is a
+    ``release``, ``graph`` or ``app`` line; a tree file's is a node."""
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            return tokens[0] in ("release", "graph", "app")
+    return False
+
+
 def cmd_check(args) -> int:
     try:
         events = parse_trace(_read(args.trace).splitlines())
@@ -124,7 +134,7 @@ def cmd_check(args) -> int:
         return USAGE
     tree_text = _read(args.tree)
     try:
-        if tree_text.lstrip().startswith(("release ", "graph ", "app ")):
+        if _is_release(tree_text):
             release = parse_release(tree_text, base_dir=Path(args.tree).parent)
             forest = [(name, root) for name, root, _ in release.applications]
             violations = check_trace(events, graph, forest)

@@ -123,8 +123,9 @@ class VirtualClock(Clock):
     active count reaches zero, the thread that parked last advances the
     clock to the earliest pending deadline and wakes the threads due then.
     A sleep by the only active participant that ends strictly before every
-    pending deadline advances the clock without parking.  Predicate waiters are re-checked synchronously inside
-    :meth:`notify_all`, so a notifier can never race the advance logic.
+    pending deadline advances the clock without parking.  Predicate
+    waiters are re-checked synchronously inside :meth:`notify_all`, so a
+    notifier can never race the advance logic.
     """
 
     def __init__(self, start_ms: float = 0.0):

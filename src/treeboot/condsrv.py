@@ -8,8 +8,9 @@ making progress (deadlock).
 Threading contract: any number of tasks may call ``set_condition`` and
 ``wait_for_conditions`` concurrently.  All state is guarded by the clock's
 coordination lock; waiter release decisions (and their trace events) are
-made atomically inside ``set_condition`` in registration order, so traces
-are deterministic even though thread wake-up order is not.
+made atomically inside ``set_condition``, so the ``wait_end`` events of one
+release come in registration order.  The seq order between threads that
+are active at the same virtual instant follows OS scheduling.
 """
 
 from __future__ import annotations

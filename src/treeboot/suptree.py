@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 WRAPPER_SUFFIX = "#wrap"
+_INIT_KINDS = ("none", "sleep", "busy", "fail", "call")
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,14 @@ class InitModel:
     fn: Callable[[str | None], None] | None = None
 
     def __post_init__(self):
+        if self.kind not in _INIT_KINDS:
+            raise ValueError(f"unknown init kind {self.kind!r}")
         if not 0.0 <= self.duration_ms < math.inf:
             raise ValueError(f"init duration {self.duration_ms!r} is not finite and >= 0")
+        if self.kind == "call" and not callable(self.fn):
+            raise ValueError(f"a call init needs a callable fn, not {self.fn!r}")
+        if self.kind != "call" and self.fn is not None:
+            raise ValueError(f"a {self.kind} init takes no fn")
 
     @staticmethod
     def sleep(duration_ms: float) -> "InitModel":
@@ -445,8 +452,6 @@ class Runtime:
             raise RuntimeError("simulated init failure")
         elif init.kind == "call":
             init.fn(args)
-        else:
-            raise ValueError(f"unknown init kind {init.kind!r}")
 
     def wrap_concurrent(self, parent: Node, spec: ChildSpec) -> Node:
         """Insert the wrapper: ack the parent now, start the child in a
@@ -649,6 +654,9 @@ class Violation:
 
 _LIFECYCLE_ORDER = ("start_request", "wait_begin", "wait_end",
                     "init_begin", "init_end", "condition_set", "ack")
+# the codes of the lifecycle pairs that have their own; any other is event-order
+_ORDER_CODES = {("wait_end", "init_begin"): "wait-before-init",
+                ("init_end", "condition_set"): "set-after-init"}
 
 
 def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[Violation]:
@@ -658,30 +666,16 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
     bracketing, precondition safety, sibling start ordering, wrapper
     non-blocking, structure preservation, and crash escalation through
     wrappers.  ``tree`` is a root ChildSpec or a list of (prefix, root)
-    pairs for multi-application traces.
+    pairs.  One pass indexes the trace; one walk per root applies each rule
+    at its node.
     """
     forest = [("", tree)] if isinstance(tree, ChildSpec) else tree
-    declared: dict[str, ChildSpec] = {}  # path -> spec
-    expected_paths: set[str] = set()
-    wrapper_of: dict[str, str] = {}
-    events = sorted(events, key=lambda e: e.seq)
-    violations: list[Violation] = []
-
-    wrappers_present = any(e.node.endswith(WRAPPER_SUFFIX) for e in events)
-    for prefix, root in forest:
-        for path, spec, parent, _ in root.walk(f"{prefix}/{root.id}" if prefix else None):
-            declared[path] = spec
-            expected_paths.add(path)
-            if wrappers_present and spec.start_mode == "concurrent" and parent is not None:
-                wrapper_of[path] = path + WRAPPER_SUFFIX
-                expected_paths.add(path + WRAPPER_SUFFIX)
-
     # first occurrence of each (node, kind); first condition_set per
     # condition; last terminate per node
     first: dict[tuple[str, str], TraceEvent] = {}
     first_set: dict[str, TraceEvent] = {}
     last_terminate: dict[str, int] = {}
-    for event in events:
+    for event in sorted(events, key=lambda e: e.seq):
         first.setdefault((event.node, event.kind), event)
         if event.kind == "condition_set":
             name = event.get("condition")
@@ -690,96 +684,86 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
         elif event.kind == "terminate":
             last_terminate[event.node] = event.seq
 
-    if not events and declared:
+    if not events and forest:
         return [Violation("missing-events", "trace is empty but the tree declares nodes")]
 
-    # structure: only expected nodes may appear
-    seen_nodes = {e.node for e in events if e.node != "-"}
-    for node in sorted(seen_nodes - expected_paths):
-        violations.append(Violation("structure-mismatch",
-                                    f"trace mentions undeclared node {node}"))
+    # every node the trace names; the walk removes the declared ones
+    undeclared = {node for node, _ in first} - {"-"}
+    wrappers_present = any(node.endswith(WRAPPER_SUFFIX) for node in undeclared)
+    # (rule group, path, violation); the groups, in output order: 0 structure,
+    # 1 lifecycle, 2 preconditions, 3 sibling order, 4 wrappers
+    found: list[tuple[int, str, Violation]] = []
 
-    # per-node lifecycle bracketing (first occurrences, seq order)
-    for path in sorted(expected_paths):
+    def add(group: int, path: str, code: str, message: str, *seqs: int) -> None:
+        found.append((group, path, Violation(code, message, seqs)))
+
+    def check_lifecycle(path: str) -> None:
+        undeclared.discard(path)
         chain = [first[(path, kind)] for kind in _LIFECYCLE_ORDER if (path, kind) in first]
         for left, right in zip(chain, chain[1:]):
             if left.seq > right.seq:
-                code = "event-order"
-                if left.kind == "wait_end" and right.kind == "init_begin":
-                    code = "wait-before-init"
-                if left.kind == "init_end" and right.kind == "condition_set":
-                    code = "set-after-init"
-                violations.append(Violation(
-                    code,
-                    f"{path}: {right.kind} precedes {left.kind}",
-                    (right.seq, left.seq),
-                ))
+                add(1, path, _ORDER_CODES.get((left.kind, right.kind), "event-order"),
+                    f"{path}: {right.kind} precedes {left.kind}", right.seq, left.seq)
         if (path, "ack") not in first:
-            violations.append(Violation("missing-events", f"{path} never acked"))
+            add(1, path, "missing-events", f"{path} never acked")
 
-    # precondition safety: every needed condition set before init_begin
-    for path, spec in sorted(declared.items()):
-        needed = graph.expand_preconditions(spec.key())
-        if not needed:
-            continue
-        init_begin = first.get((path, "init_begin"))
-        if init_begin is None:
-            continue
-        for name in sorted(needed):
-            setter = first_set.get(name)
-            if setter is None:
-                violations.append(Violation(
-                    "unsatisfied-precondition",
-                    f"{path} ran init but condition {name} was never set",
-                    (init_begin.seq,)))
-            elif setter.seq > init_begin.seq:
-                violations.append(Violation(
-                    "unsatisfied-precondition",
-                    f"{path} ran init before condition {name} was set",
-                    (init_begin.seq, setter.seq)))
+    last_slot: dict[str, str] = {}  # parent path -> slot of its latest child walked
+    for prefix, root in forest:
+        for path, spec, parent, _ in root.walk(f"{prefix}/{root.id}" if prefix else None):
+            check_lifecycle(path)
 
-    # sibling order: ack of slot i precedes start_request of slot i+1
-    for path, spec in sorted(declared.items()):
-        if spec.kind != "supervisor":
-            continue
-        slots = []
-        for child in spec.children:
-            child_path = f"{path}/{child.id}"
-            slots.append(wrapper_of.get(child_path, child_path))
-        for left_path, right_path in zip(slots, slots[1:]):
-            left_ack = first.get((left_path, "ack"))
-            right_req = first.get((right_path, "start_request"))
+            # precondition safety: every needed condition set before init_begin
+            init_begin = first.get((path, "init_begin"))
+            if init_begin is not None:
+                for name in sorted(graph.expand_preconditions(spec.key())):
+                    setter = first_set.get(name)
+                    if setter is None:
+                        add(2, path, "unsatisfied-precondition",
+                            f"{path} ran init but condition {name} was never set",
+                            init_begin.seq)
+                    elif setter.seq > init_begin.seq:
+                        add(2, path, "unsatisfied-precondition",
+                            f"{path} ran init before condition {name} was set",
+                            init_begin.seq, setter.seq)
+            if parent is None:
+                continue
+
+            # wrapper rules: immediate ack, attach present, crash escalation
+            slot = path
+            if wrappers_present and spec.start_mode == "concurrent":
+                slot = path + WRAPPER_SUFFIX
+                check_lifecycle(slot)
+                wrapper_ack = first.get((slot, "ack"))
+                child_init_end = first.get((path, "init_end"))
+                if (spec.init.duration_ms > 0 and wrapper_ack and child_init_end
+                        and wrapper_ack.seq > child_init_end.seq):
+                    add(4, path, "wrapper-blocked",
+                        f"{slot} acked only after {path} finished init",
+                        wrapper_ack.seq, child_init_end.seq)
+                attach = first.get((slot, "attach"))
+                child_crash = first.get((path, "crash"))
+                if attach is None and child_crash is None:
+                    add(4, path, "missing-attach", f"{slot} never attached {path}")
+                if attach is not None and child_crash is not None \
+                        and child_crash.seq > attach.seq \
+                        and last_terminate.get(slot, -1) <= child_crash.seq:
+                    add(4, path, "wrapper-survived-crash",
+                        f"{slot} did not terminate after {path} crashed", child_crash.seq)
+
+            # sibling order: the older slot's ack precedes this slot's start_request
+            older = last_slot.get(parent)
+            last_slot[parent] = slot
+            left_ack = first.get((older, "ack"))
+            right_req = first.get((slot, "start_request"))
             if left_ack and right_req and left_ack.seq > right_req.seq:
-                violations.append(Violation(
-                    "sequential-order",
-                    f"{right_path} was requested before sibling {left_path} acked",
-                    (right_req.seq, left_ack.seq)))
+                add(3, parent, "sequential-order",
+                    f"{slot} was requested before sibling {older} acked",
+                    right_req.seq, left_ack.seq)
 
-    # wrapper rules: immediate ack, attach present, crash escalation
-    for child_path, wrapper_path in sorted(wrapper_of.items()):
-        wrapper_ack = first.get((wrapper_path, "ack"))
-        child_init_end = first.get((child_path, "init_end"))
-        if (declared[child_path].init.duration_ms > 0 and wrapper_ack and child_init_end
-                and wrapper_ack.seq > child_init_end.seq):
-            violations.append(Violation(
-                "wrapper-blocked",
-                f"{wrapper_path} acked only after {child_path} finished init",
-                (wrapper_ack.seq, child_init_end.seq)))
-        attach = first.get((wrapper_path, "attach"))
-        child_crash = first.get((child_path, "crash"))
-        if attach is None and child_crash is None:
-            violations.append(Violation(
-                "missing-attach",
-                f"{wrapper_path} never attached {child_path}"))
-        if attach is not None and child_crash is not None \
-                and child_crash.seq > attach.seq \
-                and last_terminate.get(wrapper_path, -1) <= child_crash.seq:
-            violations.append(Violation(
-                "wrapper-survived-crash",
-                f"{wrapper_path} did not terminate after {child_path} crashed",
-                (child_crash.seq,)))
-
-    return violations
+    for node in undeclared:
+        add(0, node, "structure-mismatch", f"trace mentions undeclared node {node}")
+    found.sort(key=lambda item: item[:2])  # stable: keeps each path's own order
+    return [violation for _, _, violation in found]
 
 
 # -- tree description files ---------------------------------------------------

@@ -10,6 +10,7 @@ wait the moment it is checked.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import replace
 
@@ -59,27 +60,20 @@ def random_system(seed: int, *, max_depth: int = 5, min_modules: int = 10,
 
     root = build(0)
 
-    order: list[tuple[str, ChildSpec]] = []  # DFS preorder = sequential start order
-
-    def walk(spec: ChildSpec, path: str):
-        order.append((path, spec))
-        for child in spec.children:
-            walk(child, f"{path}/{child.id}")
-
-    walk(root, root.id)
-    position = {path: i for i, (path, _) in enumerate(order)}
+    # DFS preorder = sequential start order; a node's position is its index
+    order = [(path, spec) for path, spec, _, _ in root.walk()]
     first_of_module: dict[str, int] = {}
-    for path, spec in order:
-        first_of_module.setdefault(spec.module, position[path])
+    for i, (_, spec) in enumerate(order):
+        first_of_module.setdefault(spec.module, i)
 
     # conditions: exact per chosen node, occasional wildcard per module
     conditions: list[tuple[ModuleKey, str]] = []
     effective_pos: dict[str, int] = {}  # condition -> earliest setter position
-    for path, spec in order:
+    for i, (_, spec) in enumerate(order):
         if rng.random() < 0.4:
             name = f"c_{spec.id}"
             conditions.append((ModuleKey(spec.module, spec.args), name))
-            effective_pos[name] = position[path]
+            effective_pos[name] = i
     for module in pool:
         if module in first_of_module and rng.random() < 0.15:
             name = f"cw_{module}"
@@ -97,14 +91,23 @@ def random_system(seed: int, *, max_depth: int = 5, min_modules: int = 10,
         groups.append(ConditionGroup(name, members))
         effective_pos[name] = max(effective_pos[m] for m in members)
 
-    # wait edges: only to names whose effective setter is strictly earlier
-    choices = list(effective_pos.items())
+    # wait edges: only to names whose effective setter is strictly earlier.
+    # ``earlier`` keeps those names in declaration order (the order drawn
+    # from), and grows as the walk passes each name's setter position.
+    rank = {name: r for r, name in enumerate(effective_pos)}
+    unpassed = sorted(effective_pos, key=effective_pos.get, reverse=True)
+    earlier: list[str] = []
+    earlier_ranks: list[int] = []
     preconditions: list[tuple[ModuleKey, tuple[str, ...]]] = []
     used_keys: set[ModuleKey] = set()
-    for path, spec in order:
+    for i, (_, spec) in enumerate(order):
+        while unpassed and effective_pos[unpassed[-1]] < i:
+            name = unpassed.pop()
+            at = bisect.bisect(earlier_ranks, rank[name])
+            earlier.insert(at, name)
+            earlier_ranks.insert(at, rank[name])
         if rng.random() >= 0.35:
             continue
-        earlier = [name for name, pos in choices if pos < position[path]]
         if not earlier:
             continue
         names = tuple(rng.sample(earlier, rng.randint(1, min(3, len(earlier)))))
@@ -113,8 +116,7 @@ def random_system(seed: int, *, max_depth: int = 5, min_modules: int = 10,
             # wildcard waiter is only safe if every instance of the module
             # starts after every chosen setter
             latest = max(effective_pos[n] for n in names)
-            instances = [position[p] for p, s in order if s.module == spec.module]
-            if min(instances) > latest:
+            if first_of_module[spec.module] > latest:
                 key = ModuleKey(spec.module)
         if key in used_keys:
             continue

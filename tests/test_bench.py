@@ -75,6 +75,12 @@ def test_random_topology_refuses_branching():
         gen_topology(TopologySpec("random", branching=7), unit_delays())
 
 
+@pytest.mark.parametrize("kind", ["deep", "wide"])
+def test_regular_topology_refuses_seed(kind):
+    with pytest.raises(ValueError, match="seed"):
+        gen_topology(TopologySpec(kind, seed=5), unit_delays())
+
+
 def test_random_topology_different_seeds_differ():
     assert gen_topology(TopologySpec("random", seed=1), unit_delays()) != \
         gen_topology(TopologySpec("random", seed=2), unit_delays())

@@ -177,6 +177,17 @@ def test_check_forged_trace_exit_1(workdir, capsys):
     assert "missing-events" in capsys.readouterr().err
 
 
+def test_check_release_with_leading_comment(workdir, capsys):
+    # a release used to be told from a tree by its first character, so a
+    # leading comment sent it to the tree parser and exit 2
+    commented = workdir / "commented.rel"
+    commented.write_text("# two applications\n\n" + (workdir / "demo.rel").read_text())
+    trace_path = workdir / "commented.trace"
+    assert main(["run", str(commented), "--virtual-clock", "--trace", str(trace_path)]) == 0
+    assert main(["check", str(trace_path), str(workdir / "sys.rgraph"), str(commented)]) == 0
+    assert "no violations" in capsys.readouterr().out
+
+
 def test_check_malformed_trace_exit_2(workdir, capsys):
     bad = workdir / "bad.trace"
     bad.write_text("this is not a trace\n")
@@ -249,6 +260,14 @@ def test_bench_branching_it_would_ignore_exit_2(capsys, topology, branching):
     assert main(["bench", "--topology", topology, "--branching", branching,
                  "--virtual-clock", "--repeat", "1"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology", ["deep", "wide"])
+def test_bench_seed_it_would_ignore_exit_2(capsys, topology):
+    # deep and wide draw nothing, so --seed 5 used to print the --seed 0 tree
+    assert main(["bench", "--topology", topology, "--depth", "2", "--seed", "5",
+                 "--virtual-clock", "--repeat", "1"]) == 2
+    assert "takes no seed" in capsys.readouterr().err
 
 
 def test_bench_append_without_out_exit_2(capsys):

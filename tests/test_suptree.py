@@ -208,6 +208,19 @@ def test_callable_init_receives_args():
     assert seen == ["[42]"]
 
 
+@pytest.mark.parametrize("kind, fn, fragment", [
+    ("sleeep", None, "unknown init kind"),
+    ("call", None, "callable fn"),
+    ("call", "not callable", "callable fn"),
+    ("sleep", print, "takes no fn"),
+    ("none", print, "takes no fn"),
+])
+def test_init_model_rejects_unknown_kind_and_misplaced_fn(kind, fn, fragment):
+    # each used to pass as a model and crash its node at boot instead
+    with pytest.raises(ValueError, match=fragment):
+        InitModel(kind, 5.0 if kind != "call" else 0.0, fn)
+
+
 # -- crash handling ----------------------------------------------------------------
 
 
