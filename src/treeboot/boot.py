@@ -124,10 +124,17 @@ def boot_system(
     The graph must validate; a cyclic wait graph refuses to boot unless
     ``allow_cycles`` (the knob that exists to demonstrate runtime deadlock
     detection).  ``mode="sequential"`` downgrades every concurrent tag.
+    A repeated application name raises ValueError before anything starts.
     Raises DeadlockError / StartupError when the run fails.
     """
     if mode not in ("as-specified", "sequential"):
         raise ValueError(f"bad mode {mode!r}")
+    apps = list(apps)
+    seen_apps: set[str] = set()
+    for app_name, _ in apps:
+        if app_name in seen_apps:
+            raise ValueError(f"duplicate application name {app_name!r}")
+        seen_apps.add(app_name)
     check_quiescence_timeout(quiescence_timeout_ms)
     graph.require_valid()
     cycle = graph.cycle_check()

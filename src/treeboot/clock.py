@@ -10,6 +10,10 @@ condition store and the supervision runtime.  Coarse, but it makes the
 virtual-time accounting airtight: virtual time may only advance when every
 registered thread is parked in ``sleep`` or ``wait``, so timestamps depend
 solely on the workload structure, never on OS scheduling.
+
+Blocking is park and wake: a thread parks on a one-shot waiter of its own,
+and whoever releases it wakes exactly that waiter, or its deadline fires.
+The clock never evaluates caller code to decide who may run.
 """
 
 from __future__ import annotations
@@ -25,12 +29,32 @@ from .errors import ClockStalledError
 
 __all__ = ["Clock", "WallClock", "VirtualClock"]
 
+_PARKED = "parked"
+_WOKEN = "woken"
+_TIMED_OUT = "timed-out"
+
+
+class _Waiter:
+    """A one-shot wake-up target, owned by the thread that parks on it."""
+
+    __slots__ = ("woken", "state", "cv")
+
+    def __init__(self, lock):
+        self.woken = False  # set by the first wake, and stays set
+        self.state: str | None = None  # the virtual clock's last park on it
+        # Own condition over the shared lock: a wake-up reaches only the
+        # thread parked on this waiter.
+        self.cv = threading.Condition(lock)
+
 
 class Clock:
     """Interface shared by :class:`WallClock` and :class:`VirtualClock`.
 
     Locking protocol: ``now`` and ``sleep`` are called without holding
-    ``cond``; ``wait`` and ``notify_all`` must be called while holding it.
+    ``cond``; ``wait`` and ``wake`` must be called while holding it.  A
+    waiter from :meth:`waiter` belongs to the one thread that waits on it;
+    any thread may wake it, and a wake is never lost: a waiter woken before
+    it parks returns at once.
     """
 
     cond: threading.Condition
@@ -41,14 +65,20 @@ class Clock:
     def sleep(self, duration_ms: float) -> None:
         raise NotImplementedError
 
-    def wait(self, predicate: Callable[[], bool], deadline: float | None = None) -> bool:
-        """Block until ``predicate()`` is true or ``now() >= deadline``.
+    def waiter(self) -> _Waiter:
+        """A fresh waiter for :meth:`wait` and :meth:`wake`."""
+        return _Waiter(self._lock)
 
-        Returns True when released by the predicate, False on deadline.
+    def wait(self, waiter: _Waiter, deadline: float | None = None) -> bool:
+        """Park until ``waiter`` is woken or ``now() >= deadline``.
+
+        Returns True when woken, False on deadline.  A waiter that timed
+        out may wait again.
         """
         raise NotImplementedError
 
-    def notify_all(self) -> None:
+    def wake(self, waiter: _Waiter) -> None:
+        """Release ``waiter``: now if it is parked, else at its next wait."""
         raise NotImplementedError
 
     def spawn(self, fn: Callable[[], None], name: str) -> threading.Thread:
@@ -67,7 +97,8 @@ class WallClock(Clock):
     """Real time, measured from clock creation."""
 
     def __init__(self):
-        self.cond = threading.Condition()
+        self._lock = threading.RLock()
+        self.cond = threading.Condition(self._lock)
         self._epoch = time.monotonic()
 
     def now(self) -> float:
@@ -77,19 +108,20 @@ class WallClock(Clock):
         if duration_ms > 0:
             time.sleep(duration_ms / 1000.0)
 
-    def wait(self, predicate, deadline=None) -> bool:
-        while not predicate():
+    def wait(self, waiter, deadline=None) -> bool:
+        while not waiter.woken:
             if deadline is None:
-                self.cond.wait()
+                waiter.cv.wait()
             else:
                 remaining = deadline - self.now()
                 if remaining <= 0:
-                    return predicate()
-                self.cond.wait(remaining / 1000.0)
+                    return False
+                waiter.cv.wait(remaining / 1000.0)
         return True
 
-    def notify_all(self) -> None:
-        self.cond.notify_all()
+    def wake(self, waiter) -> None:
+        waiter.woken = True
+        waiter.cv.notify()
 
     def spawn(self, fn, name) -> threading.Thread:
         thread = threading.Thread(target=fn, name=name, daemon=True)
@@ -97,35 +129,20 @@ class WallClock(Clock):
         return thread
 
 
-_WAITING = "waiting"
-_RELEASED = "released"
-_TIMED_OUT = "timed-out"
-
-
-class _Waiter:
-    __slots__ = ("predicate", "deadline", "state", "cv")
-
-    def __init__(self, predicate, deadline, lock):
-        self.predicate = predicate
-        self.deadline = deadline
-        self.state = _WAITING
-        # Own condition over the shared lock: wake-ups are targeted, so an
-        # advance never stampedes every parked thread.
-        self.cv = threading.Condition(lock)
-
-
 class VirtualClock(Clock):
     """Deterministic simulated time driven by the threads themselves.
 
     Threads participate either by being spawned through :meth:`spawn` or by
     wrapping their work in :meth:`attached`.  A participant is *active*
-    unless it is parked inside :meth:`sleep` or :meth:`wait`.  When the
-    active count reaches zero, the thread that parked last advances the
-    clock to the earliest pending deadline and wakes the threads due then.
-    A sleep by the only active participant that ends strictly before every
-    pending deadline advances the clock without parking.  Predicate
-    waiters are re-checked synchronously inside :meth:`notify_all`, so a
-    notifier can never race the advance logic.
+    unless it is parked inside :meth:`sleep` or :meth:`wait`; a sleep is a
+    park on a private waiter whose deadline is its end.  A wake makes its
+    parked waiter active again at once, under the lock, so a waker can never
+    race the advance logic.  When the active count reaches zero, the thread
+    that parked last advances the clock to the earliest pending deadline and
+    wakes the threads due then; with none pending while threads are parked,
+    the run has stalled.  A sleep by the only active participant that ends
+    strictly before every pending deadline advances the clock without
+    parking.
     """
 
     def __init__(self, start_ms: float = 0.0):
@@ -133,8 +150,8 @@ class VirtualClock(Clock):
         self.cond = threading.Condition(self._lock)
         self._now = start_ms
         self._active = 0
+        self._parked = 0
         self._timers: list[tuple[float, int, _Waiter]] = []
-        self._pred_waiters: list[_Waiter] = []
         self._tiebreak = itertools.count()
         self._local = threading.local()
 
@@ -153,26 +170,15 @@ class VirtualClock(Clock):
                 if earliest is None or deadline < earliest:
                     self._now = deadline
                     return
-            waiter = _Waiter(None, deadline, self._lock)
-            heapq.heappush(self._timers, (deadline, next(self._tiebreak), waiter))
-            self._park()
-            while waiter.state == _WAITING:
-                waiter.cv.wait()
+            self._park(_Waiter(self._lock), deadline)
 
-    def wait(self, predicate, deadline=None) -> bool:
-        if predicate():
-            return True
-        waiter = _Waiter(predicate, deadline, self._lock)
-        self._pred_waiters.append(waiter)
-        if deadline is not None:
-            heapq.heappush(self._timers, (deadline, next(self._tiebreak), waiter))
-        self._park()
-        while waiter.state == _WAITING:
-            waiter.cv.wait()
-        return waiter.state == _RELEASED
+    def wait(self, waiter, deadline=None) -> bool:
+        return self._park(waiter, deadline)
 
-    def notify_all(self) -> None:
-        self._release_ready()
+    def wake(self, waiter) -> None:
+        waiter.woken = True
+        if waiter.state == _PARKED:
+            self._unpark(waiter, _WOKEN)
 
     def spawn(self, fn, name) -> threading.Thread:
         # The child counts as active from before start() so the clock can
@@ -214,24 +220,28 @@ class VirtualClock(Clock):
 
     # -- internals, all called with cond held --
 
-    def _park(self) -> None:
+    def _park(self, waiter: _Waiter, deadline: float | None) -> bool:
+        if waiter.woken:
+            return True
+        waiter.state = _PARKED
+        self._parked += 1
+        if deadline is not None:
+            heapq.heappush(self._timers, (deadline, next(self._tiebreak), waiter))
         self._active -= 1
         self._advance_if_idle()
+        while waiter.state == _PARKED:
+            waiter.cv.wait()
+        return waiter.state == _WOKEN
 
-    def _release_ready(self) -> None:
-        kept = []
-        for waiter in self._pred_waiters:
-            if waiter.state == _WAITING and waiter.predicate():
-                waiter.state = _RELEASED
-                self._active += 1
-                waiter.cv.notify()
-            elif waiter.state == _WAITING:
-                kept.append(waiter)
-        self._pred_waiters = kept
+    def _unpark(self, waiter: _Waiter, state: str) -> None:
+        waiter.state = state
+        self._parked -= 1
+        self._active += 1
+        waiter.cv.notify()
 
     def _earliest_timer(self) -> float | None:
-        # Drop timers whose waiters were already released or timed out.
-        while self._timers and self._timers[0][2].state != _WAITING:
+        # Drop the timers that a wake left behind.
+        while self._timers and self._timers[0][2].state != _PARKED:
             heapq.heappop(self._timers)
         return self._timers[0][0] if self._timers else None
 
@@ -240,25 +250,14 @@ class VirtualClock(Clock):
             return
         deadline = self._earliest_timer()
         if deadline is None:
-            if self._pred_waiters:
+            if self._parked:
                 raise ClockStalledError(
                     "all threads blocked with no pending deadline "
-                    f"({len(self._pred_waiters)} predicate waiter(s))"
+                    f"({self._parked} parked waiter(s))"
                 )
             return
         self._now = deadline
-        woke_pred_waiter = False
         while self._timers and self._timers[0][0] == deadline:
             _, _, waiter = heapq.heappop(self._timers)
-            if waiter.state != _WAITING:
-                continue
-            if waiter.predicate is None:
-                waiter.state = _RELEASED
-            else:
-                waiter.state = _TIMED_OUT
-                woke_pred_waiter = True
-            self._active += 1
-            waiter.cv.notify()
-        if woke_pred_waiter:
-            self._pred_waiters = [w for w in self._pred_waiters
-                                  if w.state == _WAITING]
+            if waiter.state == _PARKED:
+                self._unpark(waiter, _TIMED_OUT)

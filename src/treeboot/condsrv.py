@@ -7,9 +7,11 @@ making progress (deadlock).
 
 Threading contract: any number of tasks may call ``set_condition`` and
 ``wait_for_conditions`` concurrently.  All state is guarded by the clock's
-coordination lock; waiter release decisions (and their trace events) are
-made atomically inside ``set_condition``, so the ``wait_end`` events of one
-release come in registration order.  The seq order between threads that
+coordination lock.  A blocked start parks on its own clock waiter, which
+only its releaser wakes: the flip of its last missing condition, or the
+watchdog scan that aborts it.  Release decisions (and their trace events)
+are made atomically inside ``set_condition``, so the ``wait_end`` events of
+one release come in registration order.  The seq order between threads that
 are active at the same virtual instant follows OS scheduling.
 """
 
@@ -62,9 +64,9 @@ class DeadlockReport:
 
 class _Waiter:
     __slots__ = ("key", "node", "unmet", "initial_unmet", "registered_ms",
-                 "report", "abort")
+                 "report", "abort", "wakeup")
 
-    def __init__(self, key, node, unmet, registered_ms):
+    def __init__(self, key, node, unmet, registered_ms, wakeup):
         self.key = key
         self.node = node
         self.unmet = unmet
@@ -72,6 +74,7 @@ class _Waiter:
         self.registered_ms = registered_ms
         self.report: WaitReport | None = None
         self.abort: DeadlockReport | None = None
+        self.wakeup = wakeup  # the clock waiter this start parks on
 
 
 class ConditionStore:
@@ -139,7 +142,6 @@ class ConditionStore:
                     else:
                         self._release(waiter, now)
                 self._waiters = still_blocked
-                self.clock.notify_all()
             return flipped
 
     def wait_for_conditions(self, module: str, args: str | None = None, *, node: str = "-") -> WaitReport:
@@ -158,19 +160,15 @@ class ConditionStore:
             if not unmet:
                 self.trace.emit(now, "wait_end", node, module=module, args=args)
                 return WaitReport(key, 0.0, frozenset())
-            waiter = _Waiter(key, node, set(unmet), now)
+            waiter = _Waiter(key, node, set(unmet), now, self.clock.waiter())
             self._waiters.append(waiter)
-            while True:
+            while waiter.report is None and waiter.abort is None:
                 deadline = max(waiter.registered_ms, self._last_progress_ms) + self.deadlock_timeout_ms
-                self.clock.wait(lambda: waiter.report is not None or waiter.abort is not None,
-                                deadline)
-                if waiter.abort is not None:
-                    raise DeadlockError(waiter.abort)
-                if waiter.report is not None:
-                    return waiter.report
-                report = self._scan(self.clock.now())
-                if report is not None:
-                    raise DeadlockError(waiter.abort or report)
+                if not self.clock.wait(waiter.wakeup, deadline):
+                    self._scan(self.clock.now())
+            if waiter.abort is not None:
+                raise DeadlockError(waiter.abort)
+            return waiter.report
 
     # -- deadlock watchdog -------------------------------------------------
 
@@ -197,8 +195,8 @@ class ConditionStore:
                         blocked=",".join(str(key) for key, _ in blocked))
         for waiter in self._waiters:
             waiter.abort = report
+            self.clock.wake(waiter.wakeup)
         self._waiters = []
-        self.clock.notify_all()
         return report
 
     # -- internals -----------------------------------------------------------
@@ -213,3 +211,4 @@ class ConditionStore:
         )
         self.trace.emit(now, "wait_end", waiter.node,
                         module=waiter.key.module, args=waiter.key.args)
+        self.clock.wake(waiter.wakeup)

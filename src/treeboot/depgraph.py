@@ -408,7 +408,11 @@ def parse_release_graph(source: str) -> DependencyGraph:
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         raise GraphError(errors)
-    return DependencyGraph(tuple(conditions), tuple(groups), tuple(preconditions))
+    graph = DependencyGraph(tuple(conditions), tuple(groups), tuple(preconditions))
+    # Seed the validation cache with this parse's own result, which is
+    # empty: _validate reports only errors, and any error raised above.
+    graph.__dict__["_diagnostics"] = ()
+    return graph
 
 
 def serialize_release_graph(graph: DependencyGraph) -> str:

@@ -302,6 +302,7 @@ class Runtime:
         self._acked_paths: set[str] = set()
         self._wrapper_count = 0
         self._t0: float | None = None
+        self._quiescent = self.clock.waiter()  # woken once starts settle or fail
         self._last_done_ms = 0.0
 
     # -- public surface ---------------------------------------------------
@@ -319,6 +320,8 @@ class Runtime:
         """Start a root node; blocks until it acked.  Raises StartupError
         when its start fails, DeadlockError when a wait was aborted."""
         full_path = path if path is not None else spec.id
+        if self._t0 is None:
+            self._t0 = self.clock.now()
         with self.clock.attached():
             node, ok = self._start(None, spec, full_path, self.roots)
         if not ok:
@@ -327,24 +330,23 @@ class Runtime:
 
     def await_quiescence(self, timeout_ms: float | None = None) -> StartupReport:
         """Block until every node acked and every concurrent attach
-        finished; returns the startup timing report."""
+        finished; returns the startup timing report.  One caller at a time:
+        the last starter to finish wakes only the latest caller."""
         check_quiescence_timeout(timeout_ms)
         with self.clock.attached():
             with self.clock.cond:
                 deadline = None if timeout_ms is None else self.clock.now() + timeout_ms
-                done = self.clock.wait(
-                    lambda: self._outstanding == 0 or self._failure is not None,
-                    deadline,
-                )
+                while self._outstanding and self._failure is None:
+                    self._quiescent = self.clock.waiter()
+                    if not self.clock.wait(self._quiescent, deadline) and self._failure is None:
+                        raise QuiescenceTimeout(
+                            f"startup incomplete after {timeout_ms:g} ms: "
+                            f"{len(self._acked_paths)} node(s) acked, "
+                            f"{self._outstanding} concurrent start(s) outstanding",
+                            len(self._acked_paths), self._outstanding,
+                        )
                 if self._failure is not None:
                     raise self._failure
-                if not done:
-                    raise QuiescenceTimeout(
-                        f"startup incomplete after {timeout_ms:g} ms: "
-                        f"{len(self._acked_paths)} node(s) acked, "
-                        f"{self._outstanding} concurrent start(s) outstanding",
-                        len(self._acked_paths), self._outstanding,
-                    )
                 t0 = self._t0 if self._t0 is not None else 0.0
                 declared = {p for p in self._acked_paths if not p.endswith(WRAPPER_SUFFIX)}
                 return StartupReport(self._last_done_ms - t0, len(declared),
@@ -483,7 +485,8 @@ class Runtime:
             finally:
                 with self.clock.cond:
                     self._outstanding -= 1
-                    self.clock.notify_all()
+                    if not self._outstanding:
+                        self.clock.wake(self._quiescent)
 
         self.clock.spawn(starter, name=f"starter:{child_path}")
         return wrapper
@@ -577,7 +580,7 @@ class Runtime:
     def _fail(self, exc: BaseException) -> None:
         if self._failure is None:
             self._failure = exc
-        self.clock.notify_all()
+        self.clock.wake(self._quiescent)
 
     def _ack(self, path: str) -> None:
         event = self._emit("ack", path)
@@ -585,10 +588,7 @@ class Runtime:
         self._last_done_ms = max(self._last_done_ms, event.ts)
 
     def _emit(self, kind: str, node: str, **detail) -> TraceEvent:
-        event = self.trace.emit(self.clock.now(), kind, node, **detail)
-        if kind == "start_request" and self._t0 is None:
-            self._t0 = event.ts
-        return event
+        return self.trace.emit(self.clock.now(), kind, node, **detail)
 
 
 # -- operation-style entry points ------------------------------------------

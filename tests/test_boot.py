@@ -11,6 +11,7 @@ from treeboot import (
     ReleaseError,
     StartupError,
     SupervisorFlags,
+    TraceSink,
     VirtualClock,
     boot,
     boot_system,
@@ -151,3 +152,14 @@ def test_boot_failure_aborts_remaining_apps():
     with pytest.raises(StartupError):
         boot_system(graph, [("first", bad), ("second", good)],
                     clock=VirtualClock())
+
+
+def test_boot_system_rejects_duplicate_application_names():
+    graph = parse_release_graph(TWO_APP_GRAPH)
+    tree = ChildSpec(id="w", module="generic_server", args="[app1_server1]",
+                     init=InitModel.sleep(5))
+    trace = TraceSink()
+    with pytest.raises(ValueError, match="duplicate application name 'a'"):
+        boot_system(graph, [("a", tree), ("b", tree), ("a", tree)],
+                    clock=VirtualClock(), trace=trace)
+    assert trace.events == []

@@ -34,23 +34,24 @@ def test_parallel_sleeps_overlap():
     assert sorted(done) == [(20, 20.0), (50, 50.0), (80, 80.0)]
 
 
-def test_wait_released_by_notify():
+def test_wait_released_by_wake():
     clock = VirtualClock()
-    box = {"flag": False, "result": None}
+    waiter = clock.waiter()
+    box = {}
 
-    def waiter():
+    def parked():
         with clock.cond:
-            box["result"] = clock.wait(lambda: box["flag"], deadline=1000)
+            box["result"] = clock.wait(waiter, deadline=1000)
+            box["now"] = clock.now()
 
     with clock.attached():
-        t = clock.spawn(waiter, "waiter")
+        t = clock.spawn(parked, "waiter")
         clock.sleep(5)
         with clock.cond:
-            box["flag"] = True
-            clock.notify_all()
+            clock.wake(waiter)
     t.join(5)
-    assert box["result"] is True
-    assert clock.now() == 5.0
+    assert not t.is_alive()
+    assert box == {"result": True, "now": 5.0}
 
 
 def test_wait_times_out_at_deadline():
@@ -59,12 +60,33 @@ def test_wait_times_out_at_deadline():
 
     def waiter():
         with clock.cond:
-            result["ok"] = clock.wait(lambda: False, deadline=300)
+            result["ok"] = clock.wait(clock.waiter(), deadline=300)
             result["now"] = clock.now()
 
     t = clock.spawn(waiter, "w")
     t.join(5)
     assert result == {"ok": False, "now": 300.0}
+
+
+def test_late_wake_leaves_the_active_count_alone():
+    # A wake after the deadline fired must not count the waiter active
+    # again: the later sleep would then park and never advance.
+    clock = VirtualClock()
+    result = {}
+
+    def late():
+        waiter = clock.waiter()
+        with clock.cond:
+            result["first"] = clock.wait(waiter, deadline=10)
+            clock.wake(waiter)
+            result["again"] = clock.wait(waiter, deadline=20)  # woken before parking
+        clock.sleep(5)
+        result["now"] = clock.now()
+
+    t = clock.spawn(late, "late")
+    t.join(5)
+    assert not t.is_alive()
+    assert result == {"first": False, "again": True, "now": 15.0}
 
 
 def test_zero_duration_sleep_keeps_time():
@@ -79,7 +101,7 @@ def test_stall_detection():
 
     def hopeless():
         with clock.cond:
-            clock.wait(lambda: False, deadline=None)
+            clock.wait(clock.waiter(), deadline=None)
 
     # the spawned thread parks with no deadline while we stay attached;
     # our detach is then the last deactivation and has nothing to advance to
@@ -88,7 +110,7 @@ def test_stall_detection():
             t = clock.spawn(hopeless, "stuck")
             for _ in range(2000):
                 with clock.cond:
-                    if clock._pred_waiters:
+                    if clock._parked:
                         break
                 time.sleep(0.001)
     assert t.is_alive()  # left parked; the error surfaced to the driver
@@ -105,25 +127,32 @@ def test_attached_is_reentrant():
 
 def test_wall_clock_wait_timeout_and_release():
     clock = WallClock()
+    woken = clock.waiter()
     with clock.cond:
-        assert clock.wait(lambda: True) is True
-        assert clock.wait(lambda: False, deadline=clock.now() + 5) is False
+        clock.wake(woken)
+        assert clock.wait(woken) is True
 
-    flag = {"v": False}
-    released = []
+    # The waiter that timed out parks again and the later wake releases it
+    # well before its new deadline.
+    waiter = clock.waiter()
+    with clock.cond:
+        assert clock.wait(waiter, deadline=clock.now() + 5) is False
 
     def releaser():
         clock.sleep(10)
         with clock.cond:
-            flag["v"] = True
-            clock.notify_all()
+            clock.wake(waiter)
 
     t = threading.Thread(target=releaser)
     t.start()
     with clock.cond:
-        released.append(clock.wait(lambda: flag["v"], deadline=clock.now() + 2000))
+        parked_at = clock.now()
+        released = clock.wait(waiter, deadline=parked_at + 20_000)
+        parked_ms = clock.now() - parked_at
     t.join(5)
-    assert released == [True]
+    assert not t.is_alive()
+    assert released is True
+    assert parked_ms < 10_000
 
 
 def test_wall_clock_now_monotonic():
@@ -163,22 +192,21 @@ def test_lone_sleeper_advances_to_its_exact_deadline():
     (40, {"ok": True, "now": 40.0}),  # strictly earlier: the timer stays pending
     (50, {"ok": False, "now": 50.0}),  # tie: the deadline fires first
 ])
-def test_sleep_against_predicate_deadline(sleep_ms, expected):
+def test_sleep_against_wait_deadline(sleep_ms, expected):
     clock = VirtualClock()
-    box = {"flag": False}
+    waiter = clock.waiter()
     result = {}
 
-    def waiter():
+    def parked():
         with clock.cond:
-            result["ok"] = clock.wait(lambda: box["flag"], deadline=50)
+            result["ok"] = clock.wait(waiter, deadline=50)
             result["now"] = clock.now()
 
     with clock.attached():
-        t = _spawn_parked(clock, waiter, "waiter")
+        t = _spawn_parked(clock, parked, "waiter")
         clock.sleep(sleep_ms)
         with clock.cond:
-            box["flag"] = True
-            clock.notify_all()
+            clock.wake(waiter)
     t.join(5)
     assert not t.is_alive()
     assert result == expected
@@ -190,20 +218,21 @@ def test_sleep_against_predicate_deadline(sleep_ms, expected):
 ])
 def test_sleep_against_other_sleeper(sleep_ms, expected):
     clock = VirtualClock()
+    waiter = clock.waiter()
     woke = []
 
     def sleeper():
         clock.sleep(50)
         with clock.cond:
             woke.append(clock.now())
-            clock.notify_all()
+            clock.wake(waiter)
 
     with clock.attached():
         t = _spawn_parked(clock, sleeper, "sleeper")
         clock.sleep(sleep_ms)
         with clock.cond:
-            # Deadline now: true only if the other sleeper is already awake.
-            seen = clock.wait(lambda: bool(woke), deadline=clock.now())
+            # Deadline now: woken only if the other sleeper is already awake.
+            seen = clock.wait(waiter, deadline=clock.now())
             now = clock.now()
     t.join(5)
     assert not t.is_alive()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from treeboot import (
     GraphError,
     ModuleKey,
     VirtualClock,
+    WallClock,
 )
 
 
@@ -161,13 +164,14 @@ def test_waiters_released_in_registration_order(two_app_graph):
         store.wait_for_conditions("generic_server", "[app2_server1]", node=name)
 
     with clock.attached():
+        # Deterministic registration order: a zero sleep returns only once
+        # every other participant is parked, so the first waiter is blocked.
         first = clock.spawn(lambda: waiter("first"), "first")
-        # deterministic registration order: wait until the first is parked
-        with clock.cond:
-            clock.wait(lambda: store.blocked_count == 1, deadline=100)
+        clock.sleep(0)
+        assert store.blocked_count == 1
         second = clock.spawn(lambda: waiter("second"), "second")
-        with clock.cond:
-            clock.wait(lambda: store.blocked_count == 2, deadline=100)
+        clock.sleep(0)
+        assert store.blocked_count == 2
         store.set_condition("app1_rootsup", None)
         for n in (1, 2, 3):
             store.set_condition("generic_server", f"[app1_server{n}]")
@@ -175,6 +179,77 @@ def test_waiters_released_in_registration_order(two_app_graph):
     second.join(5)
     ends = [e for e in store.trace.events if e.kind == "wait_end"]
     assert [e.node for e in ends] == ["first", "second"]
+
+
+class WakeCountingClock(VirtualClock):
+    def __init__(self):
+        super().__init__()
+        self.wakes = 0
+
+    def wake(self, waiter):
+        self.wakes += 1
+        super().wake(waiter)
+
+
+def one_condition_per_waiter(n):
+    """waiter [i] waits on condition c<i>, which setter [i] sets."""
+    return DependencyGraph(
+        conditions=tuple((ModuleKey("setter", f"[{i}]"), f"c{i}") for i in range(n)),
+        preconditions=tuple((ModuleKey("waiter", f"[{i}]"), (f"c{i}",)) for i in range(n)),
+    )
+
+
+def test_flip_wakes_only_the_waiter_it_releases():
+    n = 6
+    clock = WakeCountingClock()
+    store = ConditionStore(one_condition_per_waiter(n), clock=clock,
+                           deadlock_timeout_ms=500.0)
+    with clock.attached():
+        threads = [clock.spawn(lambda i=i: store.wait_for_conditions("waiter", f"[{i}]"),
+                               f"w{i}")
+                   for i in range(n)]
+        clock.sleep(0)  # returns once every waiter is parked
+        assert store.blocked_count == n
+        store.set_condition("setter", "[2]")
+        assert clock.wakes == 1
+        assert store.blocked_count == n - 1
+        for i in range(n):
+            store.set_condition("setter", f"[{i}]")
+    for t in threads:
+        t.join(5)
+        assert not t.is_alive()
+    assert clock.wakes == n
+
+
+@pytest.mark.parametrize("clock_cls", [VirtualClock, WallClock])
+def test_no_wake_is_lost_under_fast_thread_switching(clock_cls):
+    # The flips race the waiters' registration.  A lost wake leaves its
+    # waiter parked until the watchdog deadline: 20 s of wall time, or a
+    # virtual clock that moved.
+    n = 8
+    clock = clock_cls()
+    store = ConditionStore(one_condition_per_waiter(n), clock=clock,
+                           deadlock_timeout_ms=20_000.0)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with clock.attached():
+            threads = [
+                clock.spawn(lambda i=i: reports.append(
+                    store.wait_for_conditions("waiter", f"[{i}]")), f"w{i}")
+                for i in range(n)
+            ]
+            for i in reversed(range(n)):
+                store.set_condition("setter", f"[{i}]")
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reports) == n
+    if clock_cls is VirtualClock:
+        assert clock.now() == 0.0
 
 
 # -- watchdog ---------------------------------------------------------------------
