@@ -25,7 +25,7 @@ from .depgraph import DependencyGraph, parse_release_graph
 from .errors import BootRefusedError, ReleaseError
 from .suptree import (ChildSpec, Node, Runtime, StartupReport, check_quiescence_timeout,
                       parse_tree)
-from .tracing import TraceSink
+from .tracing import TraceSink, _has_whitespace
 
 __all__ = [
     "Release",
@@ -124,7 +124,8 @@ def boot_system(
     The graph must validate; a cyclic wait graph refuses to boot unless
     ``allow_cycles`` (the knob that exists to demonstrate runtime deadlock
     detection).  ``mode="sequential"`` downgrades every concurrent tag.
-    A repeated application name raises ValueError before anything starts.
+    A repeated application name, or one that is empty or holds whitespace
+    or '/', raises ValueError before anything starts.
     Raises DeadlockError / StartupError when the run fails.
     """
     if mode not in ("as-specified", "sequential"):
@@ -132,6 +133,9 @@ def boot_system(
     apps = list(apps)
     seen_apps: set[str] = set()
     for app_name, _ in apps:
+        if not app_name or "/" in app_name or _has_whitespace(app_name):
+            raise ValueError(f"application name {app_name!r} must be non-empty, "
+                             "without whitespace or '/'")
         if app_name in seen_apps:
             raise ValueError(f"duplicate application name {app_name!r}")
         seen_apps.add(app_name)

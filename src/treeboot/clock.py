@@ -5,11 +5,11 @@ same code can run against real time (benchmarks) or deterministic virtual
 time (tests, reproducible measurements).  Durations and timestamps are
 milliseconds throughout.
 
-The clock owns the single coordination lock (``cond``) shared by the
-condition store and the supervision runtime.  Coarse, but it makes the
-virtual-time accounting airtight: virtual time may only advance when every
-registered thread is parked in ``sleep`` or ``wait``, so timestamps depend
-solely on the workload structure, never on OS scheduling.
+The clock owns the single coordination lock (``cond``, a re-entrant lock)
+shared by the condition store and the supervision runtime.  Coarse, but it
+makes the virtual-time accounting airtight: virtual time may only advance
+when every registered thread is parked in ``sleep`` or ``wait``, so
+timestamps depend solely on the workload structure, never on OS scheduling.
 
 Blocking is park and wake: a thread parks on a one-shot waiter of its own,
 and whoever releases it wakes exactly that waiter, or its deadline fires.
@@ -50,6 +50,8 @@ class _Waiter:
 class Clock:
     """Interface shared by :class:`WallClock` and :class:`VirtualClock`.
 
+    ``cond`` is the clock's coordination lock itself, a ``threading.RLock``
+    entered as ``with clock.cond:``; no thread waits on it or notifies it.
     Locking protocol: ``now`` and ``sleep`` are called without holding
     ``cond``; ``wait`` and ``wake`` must be called while holding it.  A
     waiter from :meth:`waiter` belongs to the one thread that waits on it;
@@ -57,7 +59,7 @@ class Clock:
     it parks returns at once.
     """
 
-    cond: threading.Condition
+    cond: threading.RLock
 
     def now(self) -> float:
         raise NotImplementedError
@@ -97,8 +99,7 @@ class WallClock(Clock):
     """Real time, measured from clock creation."""
 
     def __init__(self):
-        self._lock = threading.RLock()
-        self.cond = threading.Condition(self._lock)
+        self._lock = self.cond = threading.RLock()
         self._epoch = time.monotonic()
 
     def now(self) -> float:
@@ -146,8 +147,7 @@ class VirtualClock(Clock):
     """
 
     def __init__(self, start_ms: float = 0.0):
-        self._lock = threading.RLock()
-        self.cond = threading.Condition(self._lock)
+        self._lock = self.cond = threading.RLock()
         self._now = start_ms
         self._active = 0
         self._parked = 0

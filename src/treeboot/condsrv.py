@@ -13,6 +13,11 @@ watchdog scan that aborts it.  Release decisions (and their trace events)
 are made atomically inside ``set_condition``, so the ``wait_end`` events of
 one release come in registration order.  The seq order between threads that
 are active at the same virtual instant follows OS scheduling.
+
+Start plans: everything a start of one ``(module, args)`` key needs that
+does not change during a run (its expanded preconditions, the conditions
+it sets, its checked trace details) is worked out on the key's first start
+and kept in the store's plan table, which the supervision runtime reads too.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from dataclasses import dataclass
 from .clock import Clock, WallClock
 from .depgraph import DependencyGraph, ModuleKey
 from .errors import DeadlockError
-from .tracing import TraceSink
+from .tracing import TraceSink, prepare_detail
 
-__all__ = ["WaitReport", "DeadlockReport", "ConditionStore", "DEFAULT_DEADLOCK_TIMEOUT_MS"]
+__all__ = ["WaitReport", "DeadlockReport", "StartPlan", "ConditionStore",
+           "DEFAULT_DEADLOCK_TIMEOUT_MS"]
 
 DEFAULT_DEADLOCK_TIMEOUT_MS = 30_000.0
 
@@ -62,12 +68,36 @@ class DeadlockReport:
         )
 
 
+_NO_CONDITIONS = prepare_detail(conditions="")
+
+
+class StartPlan:
+    """What every start of one ``(module, args)`` key reads from the graph
+    and the trace format, worked out once per store.
+
+    ``needs`` are the expanded preconditions, ``sets`` the conditions the
+    key sets, in name order; ``detail`` is the checked ``module``/``args``
+    trace detail, ``no_wait_detail`` the ``wait_begin`` detail of a start
+    that does not block and ``no_wait_report`` its result.
+    """
+
+    __slots__ = ("key", "needs", "sets", "detail", "no_wait_detail", "no_wait_report")
+
+    def __init__(self, graph: DependencyGraph, module: str, args: str | None):
+        self.key = ModuleKey(module, args)
+        self.needs = frozenset(graph.expand_preconditions(self.key))
+        self.sets = tuple(sorted(graph.conditions_set_by(module, args)))
+        self.detail = prepare_detail(module=module, args=args)
+        self.no_wait_detail = self.detail + _NO_CONDITIONS
+        self.no_wait_report = WaitReport(self.key, 0.0, frozenset())
+
+
 class _Waiter:
-    __slots__ = ("key", "node", "unmet", "initial_unmet", "registered_ms",
+    __slots__ = ("plan", "node", "unmet", "initial_unmet", "registered_ms",
                  "report", "abort", "wakeup")
 
-    def __init__(self, key, node, unmet, registered_ms, wakeup):
-        self.key = key
+    def __init__(self, plan, node, unmet, registered_ms, wakeup):
+        self.plan = plan
         self.node = node
         self.unmet = unmet
         self.initial_unmet = frozenset(unmet)
@@ -98,6 +128,7 @@ class ConditionStore:
         self.deadlock_timeout_ms = deadlock_timeout_ms
         self._truth: dict[str, bool] = {name: False for _, name in graph.conditions}
         self._waiters: list[_Waiter] = []
+        self._plans: dict[tuple[str, str | None], StartPlan] = {}
         self._last_progress_ms = self.clock.now()
 
     # -- observability ---------------------------------------------------
@@ -111,6 +142,16 @@ class ConditionStore:
         with self.clock.cond:
             return len(self._waiters)
 
+    def plan(self, module: str, args: str | None = None) -> StartPlan:
+        """The start plan of (module, args), made on its first use.
+
+        Raises ValueError when ``module`` or ``args`` contains whitespace.
+        """
+        key = (module, args)
+        # Racing first uses may each make a plan; all of them read the one kept.
+        return self._plans.get(key) or self._plans.setdefault(
+            key, StartPlan(self.graph, module, args))
+
     # -- the two runtime entry points -------------------------------------
 
     def set_condition(self, module: str, args: str | None = None, *, node: str = "-") -> set[str]:
@@ -119,29 +160,28 @@ class ConditionStore:
         Returns the set of conditions that transitioned false -> true.
         Idempotent; unknown modules are a no-op by design.
         """
+        sets = self.plan(module, args).sets
         with self.clock.cond:
             now = self.clock.now()
-            flipped = {
-                name
-                for name in self.graph.conditions_set_by(module, args)
-                if not self._truth[name]
-            }
-            for name in sorted(flipped):
+            names = [name for name in sets if not self._truth[name]]
+            if not names:
+                return set()
+            for name in names:
                 self._truth[name] = True
                 self.trace.emit(now, "condition_set", node,
                                 condition=name, module=module, args=args)
-            if flipped:
-                self._last_progress_ms = now
-                still_blocked: list[_Waiter] = []
-                # _waiters is in registration order: appended under the
-                # lock, and only ever filtered in order.
-                for waiter in self._waiters:
-                    waiter.unmet -= flipped
-                    if waiter.unmet:
-                        still_blocked.append(waiter)
-                    else:
-                        self._release(waiter, now)
-                self._waiters = still_blocked
+            flipped = set(names)
+            self._last_progress_ms = now
+            still_blocked: list[_Waiter] = []
+            # _waiters is in registration order: appended under the
+            # lock, and only ever filtered in order.
+            for waiter in self._waiters:
+                waiter.unmet -= flipped
+                if waiter.unmet:
+                    still_blocked.append(waiter)
+                else:
+                    self._release(waiter, now)
+            self._waiters = still_blocked
             return flipped
 
     def wait_for_conditions(self, module: str, args: str | None = None, *, node: str = "-") -> WaitReport:
@@ -150,17 +190,17 @@ class ConditionStore:
 
         Raises :class:`DeadlockError` when the watchdog aborts the wait.
         """
-        key = ModuleKey(module, args)
+        plan = self.plan(module, args)
         with self.clock.cond:
             now = self.clock.now()
-            needed = self.graph.expand_preconditions(key)
-            unmet = {name for name in needed if not self._truth[name]}
-            self.trace.emit(now, "wait_begin", node, module=module, args=args,
-                            conditions=",".join(sorted(unmet)))
+            unmet = plan.needs and {name for name in plan.needs if not self._truth[name]}
             if not unmet:
-                self.trace.emit(now, "wait_end", node, module=module, args=args)
-                return WaitReport(key, 0.0, frozenset())
-            waiter = _Waiter(key, node, set(unmet), now, self.clock.waiter())
+                self.trace.emit(now, "wait_begin", node, plan.no_wait_detail)
+                self.trace.emit(now, "wait_end", node, plan.detail)
+                return plan.no_wait_report
+            self.trace.emit(now, "wait_begin", node, plan.detail,
+                            conditions=",".join(sorted(unmet)))
+            waiter = _Waiter(plan, node, unmet, now, self.clock.waiter())
             self._waiters.append(waiter)
             while waiter.report is None and waiter.abort is None:
                 deadline = max(waiter.registered_ms, self._last_progress_ms) + self.deadlock_timeout_ms
@@ -185,10 +225,9 @@ class ConditionStore:
                           min(w.registered_ms for w in self._waiters))
         if now - quiet_since < self.deadlock_timeout_ms:
             return None
-        blocked = tuple(
-            (w.key, frozenset(w.unmet))
-            for w in sorted(self._waiters, key=lambda w: (w.key.module, w.key.args or ""))
-        )
+        waiters = sorted(self._waiters,
+                         key=lambda w: (w.plan.key.module, w.plan.key.args or ""))
+        blocked = tuple((w.plan.key, frozenset(w.unmet)) for w in waiters)
         unset = frozenset().union(*(missing for _, missing in blocked))
         report = DeadlockReport(blocked, unset, now - self._last_progress_ms)
         self.trace.emit(now, "deadlock", "-",
@@ -205,10 +244,9 @@ class ConditionStore:
         # Emitted here, under the lock and in registration order, so the
         # trace position of wait_end never depends on thread wake-up order.
         waiter.report = WaitReport(
-            waiter.key,
+            waiter.plan.key,
             now - waiter.registered_ms,
             waiter.initial_unmet,
         )
-        self.trace.emit(now, "wait_end", waiter.node,
-                        module=waiter.key.module, args=waiter.key.args)
+        self.trace.emit(now, "wait_end", waiter.node, waiter.plan.detail)
         self.clock.wake(waiter.wakeup)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -42,7 +43,7 @@ from .condsrv import ConditionStore
 from .clock import VirtualClock
 from .depgraph import DependencyGraph, ModuleKey
 from .errors import DeadlockError, QuiescenceTimeout, StartupError, TreeError
-from .tracing import TraceEvent
+from .tracing import TraceEvent, _has_whitespace
 
 __all__ = [
     "InitModel",
@@ -123,6 +124,7 @@ class SupervisorFlags:
 
 
 WRAPPER_FLAGS = SupervisorFlags(0, 1.0)
+_bad_id_char = re.compile(r"[\s/#]").search
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,15 @@ class ChildSpec:
     children: tuple["ChildSpec", ...] = ()
 
     def __post_init__(self):
+        # The id is one segment of a node's trace path; module and args are
+        # trace detail values.
+        if not self.id or _bad_id_char(self.id):
+            raise ValueError(f"child id {self.id!r} must be non-empty, without "
+                             "whitespace, '/' or '#'")
+        if _has_whitespace(self.module):
+            raise ValueError(f"module {self.module!r} of child {self.id!r} contains whitespace")
+        if self.args is not None and _has_whitespace(self.args):
+            raise ValueError(f"args {self.args!r} of child {self.id!r} contains whitespace")
         if self.kind not in ("worker", "supervisor"):
             raise ValueError(f"bad child kind {self.kind!r}")
         if self.start_mode not in ("sequential", "concurrent"):
@@ -423,12 +434,14 @@ class Runtime:
         run wait -> init -> publish conditions; ok is False when the init
         failed."""
         node = Node(path, spec, parent, self)
+        plan = self.store.plan(spec.module, spec.args)
+        emit, now = self.trace.emit, self.clock.now
         if siblings is not None:
             with self.clock.cond:
                 siblings.append(node)
-        self._emit("start_request", path)
+        emit(now(), "start_request", path)
         self.store.wait_for_conditions(spec.module, spec.args, node=path)
-        self._emit("init_begin", path, module=spec.module, args=spec.args)
+        emit(now(), "init_begin", path, plan.detail)
         try:
             self._run_init(spec.init, spec.args)
         except Exception as exc:
@@ -436,7 +449,7 @@ class Runtime:
                 self._emit("crash", path, reason=f"init-failure:{type(exc).__name__}")
                 node.state = "terminated"
             return node, False
-        self._emit("init_end", path, module=spec.module, args=spec.args)
+        emit(now(), "init_end", path, plan.detail)
         self.store.set_condition(spec.module, spec.args, node=path)
         return node, True
 
@@ -779,9 +792,14 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 # restarts=<max>/<seconds> (supervisors only).
 
 
+# Shared by every parsed node that does not set its own; both are immutable.
+_NO_INIT = InitModel()
+_DEFAULT_FLAGS = SupervisorFlags()
+
+
 def _parse_init(token: str, line: int) -> InitModel:
     if token == "none":
-        return InitModel()
+        return _NO_INIT
     if token == "fail":
         return InitModel.failing()
     for prefix, maker in (("sleep:", InitModel.sleep), ("busy:", InitModel.busy)):
@@ -802,7 +820,9 @@ def parse_tree(text: str) -> ChildSpec:
         stripped = raw.split("#", 1)[0].rstrip()
         if not stripped.strip():
             continue
-        indent = len(stripped) - len(stripped.lstrip())
+        indent = len(stripped) - len(stripped.lstrip(" "))
+        if stripped[indent].isspace():
+            raise TreeError(f"indentation must be spaces, found {stripped[indent]!r}", lineno)
         if indent % 2 != 0:
             raise TreeError("indentation must be multiples of two spaces", lineno)
         depth = indent // 2
@@ -818,8 +838,8 @@ def parse_tree(text: str) -> ChildSpec:
             "restart": "permanent",
             "kind": "supervisor" if kind_tok == "sup" else "worker",
             "start_mode": "sequential",
-            "init": InitModel(),
-            "flags": SupervisorFlags(),
+            "init": _NO_INIT,
+            "flags": _DEFAULT_FLAGS,
             "children": [],
             "line": lineno,
         }

@@ -8,6 +8,10 @@ One event per line, stable field order::
 timestamps), ``ts`` is clock time in milliseconds, ``node`` is the
 slash-separated path of the emitting node (``-`` when the event is not
 tied to a node).  Detail values are whitespace-free tokens.
+
+A detail that many events share can be checked once with
+:func:`prepare_detail` and passed to :meth:`TraceSink.emit` ahead of the
+event's own keyword details.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import NamedTuple
 
 from .errors import TraceFormatError
 
-__all__ = ["EVENT_KINDS", "TraceEvent", "TraceSink", "format_event", "parse_trace"]
+__all__ = ["EVENT_KINDS", "TraceEvent", "TraceSink", "PreparedDetail", "prepare_detail",
+           "format_event", "parse_trace"]
 
 EVENT_KINDS = frozenset(
     {
@@ -38,9 +43,49 @@ EVENT_KINDS = frozenset(
 
 
 # For str patterns ``\s`` matches exactly the characters for which
-# ``str.isspace()`` is true, so one search over the joined detail values
-# finds any whitespace in any of them.
-_WHITESPACE = re.compile(r"\s")
+# ``str.isspace()`` is true.
+_has_whitespace = re.compile(r"\s").search
+
+
+class PreparedDetail(tuple):
+    """Checked ``(key, value)`` detail pairs; only :func:`prepare_detail`
+    makes one, and ``+`` joins two.  Compares equal to the plain tuple of
+    the same pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a PreparedDetail is made by prepare_detail()")
+
+    def __add__(self, other):
+        # Two checked details join into a checked one; anything else joins
+        # into a plain tuple, which emit does not take as prepared.
+        joined = tuple.__add__(self, other)
+        if other.__class__ is PreparedDetail:
+            return tuple.__new__(PreparedDetail, joined)
+        return joined
+
+
+def _checked_items(detail: dict) -> tuple[tuple[str, str], ...]:
+    items = []
+    for k, v in detail.items():
+        if v is not None:
+            if v.__class__ is not str:
+                v = str(v)
+            if _has_whitespace(v):
+                raise ValueError(f"trace detail {k}={v!r} contains whitespace")
+            items.append((k, v))
+    return tuple(items)
+
+
+def prepare_detail(**detail: object) -> PreparedDetail:
+    """Check an event detail once, for any number of :meth:`TraceSink.emit`
+    calls: ``None`` values are dropped, the others ``str()``-ed, and a
+    value with whitespace raises ValueError."""
+    return tuple.__new__(PreparedDetail, _checked_items(detail))
+
+
+_NO_DETAIL = prepare_detail()
 
 
 class TraceEvent(NamedTuple):
@@ -67,15 +112,16 @@ class TraceSink:
         self._events: list[TraceEvent] = []
         self._seq = 0
 
-    def emit(self, ts: float, kind: str, node: str, **detail: object) -> TraceEvent:
+    def emit(self, ts: float, kind: str, node: str, prepared: PreparedDetail = _NO_DETAIL,
+             /, **detail: object) -> TraceEvent:
+        """Append one event; its detail is ``prepared`` followed by
+        ``detail``, whose values are checked as :func:`prepare_detail` does."""
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown trace event kind: {kind!r}")
-        items = tuple([(k, v if v.__class__ is str else str(v))
-                       for k, v in detail.items() if v is not None])
-        if items and _WHITESPACE.search("".join([v for _, v in items])):
-            for k, v in items:
-                if _WHITESPACE.search(v):
-                    raise ValueError(f"trace detail {k}={v!r} contains whitespace")
+        if prepared.__class__ is not PreparedDetail and prepared != ():
+            raise TypeError("prepared trace detail must come from prepare_detail(), "
+                            f"not {prepared!r}")
+        items = prepared + _checked_items(detail) if detail else prepared
         with self._lock:
             # tuple.__new__ skips the Python-level NamedTuple constructor.
             event = tuple.__new__(TraceEvent, (self._seq, ts, kind, node, items))

@@ -163,3 +163,13 @@ def test_boot_system_rejects_duplicate_application_names():
         boot_system(graph, [("a", tree), ("b", tree), ("a", tree)],
                     clock=VirtualClock(), trace=trace)
     assert trace.events == []
+
+
+@pytest.mark.parametrize("name", ["", "my app", "tab\tname", "line\n", "a/b", "/"])
+def test_boot_system_rejects_application_names_that_break_paths(name):
+    graph = parse_release_graph(TWO_APP_GRAPH)
+    tree = ChildSpec(id="w", module="generic_server", args="[app1_server1]")
+    trace = TraceSink()
+    with pytest.raises(ValueError, match="application name"):
+        boot_system(graph, [("ok", tree), (name, tree)], clock=VirtualClock(), trace=trace)
+    assert trace.events == []

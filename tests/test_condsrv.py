@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,13 @@ from treeboot import (
     ModuleKey,
     VirtualClock,
     WallClock,
+    boot_system,
+    check_trace,
+    parse_release_graph,
+    parse_trace,
+    parse_tree,
 )
+from treeboot import condsrv
 
 
 def make_store(graph, timeout=500.0):
@@ -313,6 +320,100 @@ def test_watchdog_quiet_window_extends_on_progress(two_app_graph):
     t.join(5)
     assert outcome["report"].waited_ms == 320.0
     assert not any(e.kind == "deadlock" for e in store.trace.events)
+
+
+# -- start plans ------------------------------------------------------------------
+
+
+PLAN_GRAPH = """\
+[conditions]
+setter * -> ready
+
+[preconditions]
+worker * <- ready
+"""
+
+
+def plan_tree(workers_per_lane: int) -> str:
+    """Two concurrent lanes of workers that all share one key and wait for
+    the sequential setter; 4 distinct keys in all."""
+    lines = ["sup r module=root"]
+    for lane in ("a", "b"):
+        lines.append(f"  sup {lane} module=lane mode=concurrent")
+        lines += [f"    worker w{i} module=worker args=[w]" for i in range(workers_per_lane)]
+    lines.append("  worker s module=setter init=sleep:5")
+    return "\n".join(lines) + "\n"
+
+
+def test_boot_prepares_details_per_key_not_per_event(monkeypatch):
+    calls = []
+    original = condsrv.prepare_detail
+
+    def counting_prepare_detail(**detail):
+        calls.append(detail)
+        return original(**detail)
+
+    monkeypatch.setattr(condsrv, "prepare_detail", counting_prepare_detail)
+    graph, tree = parse_release_graph(PLAN_GRAPH), parse_tree(plan_tree(20))
+    result = boot_system(graph, [("app", tree)], clock=VirtualClock())
+    events = result.system.trace.events
+    keys = {(spec.module, spec.args) for spec in tree.iter_nodes()}
+    blocked = [e for e in events if e.kind == "wait_begin" and e.get("conditions")]
+    assert result.report.node_count == 44 and len(keys) == 4 and len(blocked) == 2
+    assert len(calls) <= 2 * len(keys) + len(blocked)
+    assert check_trace(events, graph, [("app", tree)]) == []
+    # Prepared details compare equal to the plain tuples a parse makes.
+    assert parse_trace(result.system.trace.to_lines()) == events
+
+
+def test_start_plan_is_made_once_per_key_and_shared(two_app_graph):
+    store, _ = make_store(two_app_graph)
+    plan = store.plan("generic_server", "[app2_server1]")
+    assert store.plan("generic_server", "[app2_server1]") is plan
+    assert plan.key == ModuleKey("generic_server", "[app2_server1]")
+    assert plan.needs == frozenset({"cond_app1_rootsup", "cond_app1_server1",
+                                    "cond_app1_server2", "cond_app1_server3"})
+    assert store.plan("app1_rootsup", "[x]").sets == ("cond_app1_rootsup",)
+    assert plan.detail == (("module", "generic_server"), ("args", "[app2_server1]"))
+    with pytest.raises(ValueError, match="whitespace"):
+        store.plan("has space")
+    assert store.trace.events == []
+
+
+def test_racing_first_starts_share_one_plan_per_key(two_app_graph):
+    store, _ = make_store(two_app_graph)
+    keys = [("generic_server", f"[app1_server{n}]") for n in (1, 2, 3)] + [("m", None)]
+    seen: list[dict] = []
+
+    def first_starts():
+        seen.append({key: store.plan(*key) for key in keys})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=first_starts) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(seen) == 8
+    for plans in seen:
+        assert all(plans[key] is store.plan(*key) for key in keys)
+
+
+def test_unblocked_wait_returns_the_plans_report(two_app_graph):
+    store, _ = make_store(two_app_graph)
+    first = store.wait_for_conditions("app1_rootsup", "[x]", node="a")
+    assert first is store.wait_for_conditions("app1_rootsup", "[x]", node="b")
+    assert first.waited_ms == 0.0 and first.conditions_waited_on == frozenset()
+    assert [(e.kind, e.node, e.detail) for e in store.trace.events] == [
+        ("wait_begin", "a", (("module", "app1_rootsup"), ("args", "[x]"), ("conditions", ""))),
+        ("wait_end", "a", (("module", "app1_rootsup"), ("args", "[x]"))),
+        ("wait_begin", "b", (("module", "app1_rootsup"), ("args", "[x]"), ("conditions", ""))),
+        ("wait_end", "b", (("module", "app1_rootsup"), ("args", "[x]"))),
+    ]
 
 
 # -- monotonicity property ---------------------------------------------------------

@@ -12,6 +12,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from treeboot import (
@@ -24,6 +25,7 @@ from treeboot import (
     parse_release,
     parse_release_graph,
     parse_trace,
+    parse_tree,
 )
 from treeboot.cli import main
 from treeboot.tracing import EVENT_KINDS
@@ -91,6 +93,35 @@ rooted_tree_texts = st.lists(
     st.builds(lambda line, indent: "  " * indent + line.lstrip(), _tree_line, st.integers(1, 2)),
     max_size=6,
 ).map(lambda lines: "\n".join(["sup root", *lines]))
+
+
+def _sup_chain(depths: list[int]) -> list[str]:
+    """Lines of a valid tree: each later node at the drawn depth, or one
+    below the node before it when that is shallower."""
+    lines, depth = ["sup n0"], 0
+    for i, wanted in enumerate(depths, start=1):
+        depth = min(wanted, depth + 1)
+        lines.append(f"{'  ' * depth}sup n{i}")
+    return lines
+
+
+valid_tree_lines = st.lists(st.integers(1, 3), max_size=6).map(_sup_chain)
+_odd_indents = st.lists(st.sampled_from((" ", "\t", "\u00a0", "\u2003", "\u3000")),
+                        min_size=1, max_size=6).map("".join).filter(lambda s: s.strip(" "))
+
+
+@given(valid_tree_lines, _odd_indents, st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_tree_rejects_indentation_that_is_not_spaces(lines, indent, data):
+    """A tab or other whitespace in the indent of any line of a valid tree
+    is a TreeError at that line."""
+    assert parse_tree("\n".join(lines)).id == "n0"
+    lineno = data.draw(st.integers(1, len(lines)))
+    lines[lineno - 1] = indent + lines[lineno - 1].lstrip(" ")
+    with pytest.raises(TreeError, match="indentation must be spaces") as exc:
+        parse_tree("\n".join(lines))
+    assert exc.value.line == lineno
+
 
 _RELEASE_LINES = st.sampled_from((
     "release r", "release", "release r extra", "graph g.rgraph", "graph missing.rgraph",

@@ -653,6 +653,37 @@ def test_parse_tree_errors(bad, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("field, value, fragment", [
+    ("id", "", "child id ''"),
+    ("id", "a b", "child id 'a b'"),
+    ("id", "a\tb", "child id"),
+    ("id", "a/b", "child id 'a/b'"),
+    ("id", "a#wrap", "child id 'a#wrap'"),
+    ("module", "has space", "module 'has space'"),
+    ("module", "m\n", "module"),
+    ("args", "[a b]", "args '[a b]'"),
+])
+def test_child_spec_rejects_ids_and_keys_that_break_paths_or_traces(field, value, fragment):
+    with pytest.raises(ValueError) as exc:
+        ChildSpec(**{"id": "w", "module": "m", field: value})
+    assert fragment in str(exc.value)
+
+
+def test_parse_tree_reports_a_slash_in_a_node_id_at_its_line():
+    # 'a/b' under r would share the path r/a/b with a's child b.
+    with pytest.raises(TreeError, match="child id 'a/b'") as exc:
+        parse_tree("sup r\n  sup a\n    worker b\n  worker a/b\n")
+    assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("indent", ["\t\t", "\t", " \t", "\t ", "\u00a0\u00a0",
+                                    "  \u3000 "])
+def test_parse_tree_rejects_indentation_other_than_spaces(indent):
+    with pytest.raises(TreeError, match="indentation must be spaces") as exc:
+        parse_tree(f"sup r\n  worker a\n{indent}worker b\n")
+    assert exc.value.line == 3
+
+
 def test_deep_tree_parses_and_round_trips():
     text = "".join(f"{'  ' * depth}sup n{depth}\n" for depth in range(2000))
     root = parse_tree(text)

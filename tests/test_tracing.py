@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from treeboot import TraceFormatError, parse_trace
-from treeboot.tracing import TraceSink, format_event
+from treeboot.tracing import PreparedDetail, TraceSink, format_event, prepare_detail
 
 
 def test_emit_assigns_monotonic_seq():
@@ -68,6 +68,59 @@ def test_trace_event_is_an_immutable_record():
     assert event.get("conditions") == "a,b" and event.get("args", "-") == "-"
     with pytest.raises(AttributeError):
         event.kind = "ack"
+
+
+# -- prepared details -------------------------------------------------------
+
+
+def test_prepared_detail_applies_the_keyword_rules():
+    prepared = prepare_detail(module="m", args=None, count=3, conditions="")
+    assert prepared == (("module", "m"), ("count", "3"), ("conditions", ""))
+    assert isinstance(prepared, PreparedDetail)
+
+
+@pytest.mark.parametrize("ch", WHITESPACE, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_prepare_detail_rejects_every_isspace_character(ch):
+    with pytest.raises(ValueError, match="args="):
+        prepare_detail(module="ok", args=f"bad{ch}value")
+
+
+@pytest.mark.parametrize("plain", [(("module", "bad value"),), (("module", "m"),),
+                                   [("module", "m")], None])
+def test_emit_rejects_a_prepared_detail_that_was_not_prepared(plain):
+    sink = TraceSink()
+    with pytest.raises(TypeError, match="prepare_detail"):
+        sink.emit(0.0, "ack", "n", plain)
+    assert len(sink) == 0
+
+
+def test_prepared_detail_cannot_be_built_around_the_check():
+    with pytest.raises(TypeError):
+        PreparedDetail((("module", "bad value"),))
+    # Concatenation and slicing give plain tuples, which emit rejects.
+    prepared = prepare_detail(module="m", args="[x]")
+    for derived in (prepared + (("k", "bad value"),), prepared[:1]):
+        assert derived.__class__ is tuple
+        with pytest.raises(TypeError):
+            TraceSink().emit(0.0, "ack", "n", derived)
+
+
+def test_prepared_then_keyword_detail_keeps_the_keyword_order():
+    prepared_sink, keyword_sink = TraceSink(), TraceSink()
+    prepared = prepare_detail(module="m", args="[x]")
+    a = prepared_sink.emit(1.5, "wait_begin", "n", prepared, conditions="a,b")
+    b = keyword_sink.emit(1.5, "wait_begin", "n", module="m", args="[x]", conditions="a,b")
+    assert a == b
+    assert a.detail == (("module", "m"), ("args", "[x]"), ("conditions", "a,b"))
+    assert prepared_sink.to_lines() == keyword_sink.to_lines()
+    assert parse_trace(prepared_sink.to_lines()) == prepared_sink.events
+
+
+def test_keyword_detail_beside_a_prepared_one_is_still_checked():
+    sink = TraceSink()
+    with pytest.raises(ValueError, match="conditions="):
+        sink.emit(0.0, "wait_begin", "n", prepare_detail(module="m"), conditions="a b")
+    assert len(sink) == 0
 
 
 def test_unknown_kind_rejected():
