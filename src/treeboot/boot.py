@@ -68,6 +68,14 @@ class BootResult:
     report: StartupReport
 
 
+def _read_utf8(path: Path, line: int | None = None) -> str:
+    """A file a release names, as text; ReleaseError when it is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReleaseError(f"{path} is not UTF-8 text: byte {exc.start}", line) from None
+
+
 def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
     """Parse a release file, loading each referenced tree file."""
     base = Path(base_dir)
@@ -97,7 +105,7 @@ def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
             full = base / tree_path
             if not full.is_file():
                 raise ReleaseError(f"tree file not found: {full}", lineno)
-            root = parse_tree(full.read_text(encoding="utf-8"))
+            root = parse_tree(_read_utf8(full, lineno))
             apps.append((app_name, root, tree_path))
         else:
             raise ReleaseError(f"expected 'release', 'graph' or 'app' line, got {line!r}",
@@ -180,7 +188,7 @@ def boot(
     graph_file = Path(base_dir) / release.graph_path
     if not graph_file.is_file():
         raise ReleaseError(f"graph file not found: {graph_file}")
-    graph = parse_release_graph(graph_file.read_text(encoding="utf-8"))
+    graph = parse_release_graph(_read_utf8(graph_file))
     apps = [(app_name, root) for app_name, root, _ in release.applications]
     return boot_system(
         graph, apps, mode=mode, clock=clock,

@@ -40,7 +40,11 @@ def _read(path: str) -> str:
     if not file.is_file():
         print(f"error: file not found: {path}", file=sys.stderr)
         raise SystemExit(USAGE)
-    return file.read_text(encoding="utf-8")
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        print(f"error: {path} is not UTF-8 text: byte {exc.start}", file=sys.stderr)
+        raise SystemExit(USAGE) from None
 
 
 def cmd_validate(args) -> int:

@@ -37,6 +37,8 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .condsrv import ConditionStore
@@ -670,6 +672,11 @@ _LIFECYCLE_ORDER = ("start_request", "wait_begin", "wait_end",
 # the codes of the lifecycle pairs that have their own; any other is event-order
 _ORDER_CODES = {("wait_end", "init_begin"): "wait-before-init",
                 ("init_end", "condition_set"): "set-after-init"}
+# every in-order selection of lifecycle kinds; check_trace's per-node dict
+# holds its kinds in the seq order of their first events, so a node whose
+# kinds come in one of these orders breaks no lifecycle order
+_IN_ORDER = frozenset(chain for n in range(len(_LIFECYCLE_ORDER) + 1)
+                      for chain in combinations(_LIFECYCLE_ORDER, n))
 
 
 def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[Violation]:
@@ -679,30 +686,41 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
     bracketing, precondition safety, sibling start ordering, wrapper
     non-blocking, structure preservation, and crash escalation through
     wrappers.  ``tree`` is a root ChildSpec or a list of (prefix, root)
-    pairs.  One pass indexes the trace; one walk per root applies each rule
-    at its node.
+    pairs.  One pass in seq order indexes the trace per node, as kind ->
+    first event; one walk per root applies each rule at its node.
     """
     forest = [("", tree)] if isinstance(tree, ChildSpec) else tree
-    # first occurrence of each (node, kind); first condition_set per
+    # node -> {kind -> its first event}; first condition_set per
     # condition; last terminate per node
-    first: dict[tuple[str, str], TraceEvent] = {}
+    by_node: dict[str, dict[str, TraceEvent]] = {}
     first_set: dict[str, TraceEvent] = {}
     last_terminate: dict[str, int] = {}
-    for event in sorted(events, key=lambda e: e.seq):
-        first.setdefault((event.node, event.kind), event)
-        if event.kind == "condition_set":
+    for event in sorted(events, key=itemgetter(0)):  # stable: equal seqs keep input order
+        seq, _, kind, node, _ = event
+        firsts = by_node.get(node)
+        if firsts is None:
+            by_node[node] = {kind: event}
+        elif kind not in firsts:
+            firsts[kind] = event
+        if kind == "condition_set":
             name = event.get("condition")
             if name is not None and name not in first_set:
                 first_set[name] = event
-        elif event.kind == "terminate":
-            last_terminate[event.node] = event.seq
+        elif kind == "terminate":
+            last_terminate[node] = seq
 
     if not events and forest:
         return [Violation("missing-events", "trace is empty but the tree declares nodes")]
 
     # every node the trace names; the walk removes the declared ones
-    undeclared = {node for node, _ in first} - {"-"}
+    undeclared = set(by_node)
+    undeclared.discard("-")
     wrappers_present = any(node.endswith(WRAPPER_SUFFIX) for node in undeclared)
+    # modules with a precondition entry, and the sorted preconditions of
+    # each (module, args) key started here that has one
+    entry_modules = {key.module for key, _ in graph.preconditions}
+    needs: dict[tuple[str, str | None], list[str]] = {}
+    no_events: dict[str, TraceEvent] = {}
     # (rule group, path, violation); the groups, in output order: 0 structure,
     # 1 lifecycle, 2 preconditions, 3 sibling order, 4 wrappers
     found: list[tuple[int, str, Violation]] = []
@@ -710,25 +728,32 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
     def add(group: int, path: str, code: str, message: str, *seqs: int) -> None:
         found.append((group, path, Violation(code, message, seqs)))
 
-    def check_lifecycle(path: str) -> None:
+    def check_lifecycle(path: str) -> dict[str, TraceEvent]:
         undeclared.discard(path)
-        chain = [first[(path, kind)] for kind in _LIFECYCLE_ORDER if (path, kind) in first]
-        for left, right in zip(chain, chain[1:]):
-            if left.seq > right.seq:
-                add(1, path, _ORDER_CODES.get((left.kind, right.kind), "event-order"),
-                    f"{path}: {right.kind} precedes {left.kind}", right.seq, left.seq)
-        if (path, "ack") not in first:
+        firsts = by_node.get(path, no_events)
+        if tuple(firsts) not in _IN_ORDER:
+            chain = [firsts[kind] for kind in _LIFECYCLE_ORDER if kind in firsts]
+            for left, right in zip(chain, chain[1:]):
+                if left.seq > right.seq:
+                    add(1, path, _ORDER_CODES.get((left.kind, right.kind), "event-order"),
+                        f"{path}: {right.kind} precedes {left.kind}", right.seq, left.seq)
+        if "ack" not in firsts:
             add(1, path, "missing-events", f"{path} never acked")
+        return firsts
 
     last_slot: dict[str, str] = {}  # parent path -> slot of its latest child walked
     for prefix, root in forest:
         for path, spec, parent, _ in root.walk(f"{prefix}/{root.id}" if prefix else None):
-            check_lifecycle(path)
+            firsts = check_lifecycle(path)
 
             # precondition safety: every needed condition set before init_begin
-            init_begin = first.get((path, "init_begin"))
-            if init_begin is not None:
-                for name in sorted(graph.expand_preconditions(spec.key())):
+            init_begin = firsts.get("init_begin")
+            if init_begin is not None and spec.module in entry_modules:
+                key = (spec.module, spec.args)
+                names = needs.get(key)
+                if names is None:
+                    names = needs[key] = sorted(graph.expand_preconditions(spec.key()))
+                for name in names:
                     setter = first_set.get(name)
                     if setter is None:
                         add(2, path, "unsatisfied-precondition",
@@ -742,19 +767,19 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
                 continue
 
             # wrapper rules: immediate ack, attach present, crash escalation
-            slot = path
+            slot, slot_firsts = path, firsts
             if wrappers_present and spec.start_mode == "concurrent":
                 slot = path + WRAPPER_SUFFIX
-                check_lifecycle(slot)
-                wrapper_ack = first.get((slot, "ack"))
-                child_init_end = first.get((path, "init_end"))
+                slot_firsts = check_lifecycle(slot)
+                wrapper_ack = slot_firsts.get("ack")
+                child_init_end = firsts.get("init_end")
                 if (spec.init.duration_ms > 0 and wrapper_ack and child_init_end
                         and wrapper_ack.seq > child_init_end.seq):
                     add(4, path, "wrapper-blocked",
                         f"{slot} acked only after {path} finished init",
                         wrapper_ack.seq, child_init_end.seq)
-                attach = first.get((slot, "attach"))
-                child_crash = first.get((path, "crash"))
+                attach = slot_firsts.get("attach")
+                child_crash = firsts.get("crash")
                 if attach is None and child_crash is None:
                     add(4, path, "missing-attach", f"{slot} never attached {path}")
                 if attach is not None and child_crash is not None \
@@ -766,8 +791,8 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
             # sibling order: the older slot's ack precedes this slot's start_request
             older = last_slot.get(parent)
             last_slot[parent] = slot
-            left_ack = first.get((older, "ack"))
-            right_req = first.get((slot, "start_request"))
+            left_ack = by_node.get(older, no_events).get("ack")
+            right_req = slot_firsts.get("start_request")
             if left_ack and right_req and left_ack.seq > right_req.seq:
                 add(3, parent, "sequential-order",
                     f"{slot} was requested before sibling {older} acked",

@@ -5,9 +5,11 @@ One event per line, stable field order::
     <seq> <ts> <kind> <node> [key=value ...]
 
 ``seq`` is a global monotonic emission counter (the tie-breaker for equal
-timestamps), ``ts`` is clock time in milliseconds, ``node`` is the
-slash-separated path of the emitting node (``-`` when the event is not
-tied to a node).  Detail values are whitespace-free tokens.
+timestamps) in decimal digits, ``ts`` is clock time in milliseconds,
+written ``%.6f`` and finite, ``node`` is the slash-separated path of the
+emitting node (``-`` when the event is not tied to a node).  Detail
+values are whitespace-free tokens; a ``key=value`` token splits at its
+first ``=``.
 
 A detail that many events share can be checked once with
 :func:`prepare_detail` and passed to :meth:`TraceSink.emit` ahead of the
@@ -139,7 +141,7 @@ class TraceSink:
             return len(self._events)
 
     def to_lines(self) -> list[str]:
-        return [format_event(e) for e in self.events]
+        return _format_lines(self.events)
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -147,35 +149,64 @@ class TraceSink:
                 fh.write(line + "\n")
 
 
+def _format_lines(events) -> list[str]:
+    """Format events as trace lines, each distinct detail once per call."""
+    details: dict[tuple, str] = {(): ""}
+    lines = []
+    for seq, ts, kind, node, detail in events:
+        text = details.get(detail)
+        if text is None:
+            text = details[detail] = "".join([" %s=%s" % pair for pair in detail])
+        lines.append("%d %.6f %s %s%s" % (seq, ts, kind, node, text))
+    return lines
+
+
 def format_event(event: TraceEvent) -> str:
-    parts = [str(event.seq), format(event.ts, ".6f"), event.kind, event.node]
-    parts.extend(f"{k}={v}" for k, v in event.detail)
-    return " ".join(parts)
+    return _format_lines((event,))[0]
 
 
 def parse_trace(lines) -> list[TraceEvent]:
-    """Parse trace lines back into events; inverse of :func:`format_event`."""
+    """Parse trace lines back into events; inverse of :func:`format_event`.
+
+    ``seq`` must be ASCII decimal digits and ``ts`` a finite float; a
+    detail token splits at its first ``=``.  Blank lines and lines
+    starting with ``#`` are skipped; any other bad line raises
+    TraceFormatError naming its line number.
+    """
     events: list[TraceEvent] = []
+    # detail text -> parsed detail; only texts whose every token parsed
+    details: dict[str, tuple[tuple[str, str], ...]] = {}
+    new = tuple.__new__
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split(None, 4)
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) < 4:
-            raise TraceFormatError(f"line {lineno}: expected 'seq ts kind node', got {line!r}")
+            raise TraceFormatError(
+                f"line {lineno}: expected 'seq ts kind node', got {raw.strip()!r}")
+        seq = fields[0]
         try:
-            seq = int(fields[0])
             ts = float(fields[1])
         except ValueError:
-            raise TraceFormatError(f"line {lineno}: bad seq/ts in {line!r}") from None
-        kind, node = fields[2], fields[3]
+            ts = None
+        # ts - ts is 0.0 for every finite float and nan for nan and the infinities
+        if not (seq.isdigit() and seq.isascii() and ts is not None and ts - ts == 0.0):
+            raise TraceFormatError(f"line {lineno}: bad seq/ts in {raw.strip()!r}")
+        kind = fields[2]
         if kind not in EVENT_KINDS:
             raise TraceFormatError(f"line {lineno}: unknown event kind {kind!r}")
-        detail = []
-        for tok in fields[4:]:
-            if "=" not in tok:
-                raise TraceFormatError(f"line {lineno}: bad detail token {tok!r}")
-            k, v = tok.split("=", 1)
-            detail.append((k, v))
-        events.append(TraceEvent(seq, ts, kind, node, tuple(detail)))
+        if len(fields) == 4:
+            detail = ()
+        else:
+            text = fields[4]
+            detail = details.get(text)
+            if detail is None:
+                pairs = []
+                for tok in text.split():
+                    k, eq, v = tok.partition("=")
+                    if not eq:
+                        raise TraceFormatError(f"line {lineno}: bad detail token {tok!r}")
+                    pairs.append((k, v))
+                detail = details[text] = tuple(pairs)
+        events.append(new(TraceEvent, (int(seq), ts, kind, fields[3], detail)))
     return events

@@ -196,6 +196,36 @@ def test_check_malformed_trace_exit_2(workdir, capsys):
     assert code == 2
 
 
+# -- input that is not UTF-8 ------------------------------------------------------
+
+
+def test_validate_non_utf8_graph_exit_2(workdir, capsys):
+    bad = workdir / "bad.rgraph"
+    bad.write_bytes(TWO_APP_GRAPH.encode() + b"# \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(bad)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text")
+
+
+def test_check_non_utf8_trace_exit_2(workdir, capsys):
+    bad = workdir / "bad.trace"
+    bad.write_bytes(b"0 0.000000 ack app1/rootsup\n1 0.000000 ack \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(bad), str(workdir / "sys.rgraph"), str(workdir / "demo.rel")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad} is not UTF-8 text")
+
+
+@pytest.mark.parametrize("name", ["app1.tree", "sys.rgraph"])
+def test_run_release_naming_a_non_utf8_file_exit_2(workdir, capsys, name):
+    path = workdir / name
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    assert main(["run", str(workdir / "demo.rel"), "--virtual-clock"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name} is not UTF-8 text" in err
+
+
 def test_bench_exact_prediction(workdir, capsys):
     code = main(["bench", "--topology", "deep", "--mode", "seq", "--repeat", "2",
                  "--virtual-clock", "--delay-ms", "1"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from treeboot import (
     SupervisorFlags,
     TreeError,
     VirtualClock,
+    boot_system,
     check_trace,
     critical_path,
     parse_release_graph,
@@ -599,6 +601,30 @@ def test_check_trace_empty_trace_nonempty_tree():
     root = ChildSpec(id="s", module="s")
     assert [v.code for v in check_trace([], DependencyGraph(), root)] == [
         "missing-events"]
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+@pytest.mark.parametrize("mode", ["sequential", "as-specified"])
+def test_check_trace_reads_events_in_seq_order_whatever_the_input_order(seed, mode):
+    """Events out of seq order, or with repeated seqs, give the violations of
+    the same list sorted stably by seq, which keeps equal seqs in input
+    order."""
+    system = random_system(seed)
+    forest = [("sys", system.tagged_root())]
+    result = boot_system(system.graph, forest, mode=mode, clock=VirtualClock())
+    forged = result.system.trace.events
+    rng = random.Random(seed)
+    for _ in range(4):  # swap the seqs of a few event pairs, so that some rules fail
+        a, b = rng.sample(range(len(forged)), 2)
+        forged[a], forged[b] = (forged[a]._replace(seq=forged[b].seq),
+                                forged[b]._replace(seq=forged[a].seq))
+    assert check_trace(forged, system.graph, forest), "the forged trace breaks no rule"
+    tied = [event._replace(seq=event.seq // 2) for event in forged]  # every seq twice
+    for trace in (forged, tied):
+        for order in (trace[::-1], *(rng.sample(trace, len(trace)) for _ in range(3))):
+            by_seq = sorted(order, key=lambda e: e.seq)
+            assert check_trace(order, system.graph, forest) == \
+                check_trace(by_seq, system.graph, forest)
 
 
 # -- tree files ----------------------------------------------------------------------

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
-from treeboot import TraceFormatError, parse_trace
+from treeboot import (ChildSpec, DependencyGraph, TraceFormatError, VirtualClock, boot_system,
+                      parse_trace)
 from treeboot.tracing import PreparedDetail, TraceSink, format_event, prepare_detail
+
+from gensys import random_system
 
 
 def test_emit_assigns_monotonic_seq():
@@ -140,7 +143,73 @@ def test_parse_trace_skips_comments_and_blanks():
     "0 y ack root",
     "0 0.0 bogus root",
     "0 0.0 ack root detail_without_equals",
+    "1_0 0.0 ack root",
+    "-3 0.0 ack root",
+    "+3 0.0 ack root",
+    "\u0661\u0662 0.0 ack root",
+    "\u00b2 0.0 ack root",
+    "0 nan ack root",
+    "0 inf ack root",
+    "0 -inf ack root",
+    "0 1e400 ack root",
 ])
 def test_parse_trace_malformed(bad):
     with pytest.raises(TraceFormatError):
         parse_trace([bad])
+
+
+def test_parse_trace_checks_every_line_whose_detail_it_has_seen():
+    good = "0 1.000000 init_begin n module=m args=[x]"
+    assert len(parse_trace([good, good.replace("0", "1", 1)])) == 2
+    for bad, message in [("1 1.000000 init_begin n module=m args=[x] oops", "bad detail token"),
+                         ("1_0 1.000000 init_begin n module=m args=[x]", "bad seq/ts"),
+                         ("1 nan init_begin n module=m args=[x]", "bad seq/ts"),
+                         ("1 1.000000 bogus n module=m args=[x]", "unknown event kind")]:
+        with pytest.raises(TraceFormatError, match=f"^line 2: {message}"):
+            parse_trace([good, bad])
+
+
+# -- the codec on booted traces ----------------------------------------------
+
+
+def assert_codec_round_trip(sink, tmp_path):
+    events = sink.events
+    lines = sink.to_lines()
+    assert lines == [format_event(event) for event in events]
+    assert parse_trace(lines) == events
+    sink.write(tmp_path / "run.trace")
+    assert (tmp_path / "run.trace").read_text(encoding="utf-8") == "".join(
+        line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("seed", [3, 9])
+@pytest.mark.parametrize("mode", ["sequential", "as-specified"])
+def test_codec_round_trips_booted_traces(seed, mode, tmp_path):
+    system = random_system(seed)
+    graph = system.graph
+    assert graph.groups and any(key.args is None for key, _ in graph.conditions)
+    assert any(key.args is None for key, _ in graph.preconditions)
+    tree = system.tagged_root(all_concurrent=mode == "as-specified")
+    result = boot_system(graph, [("sys", tree)], mode=mode, clock=VirtualClock())
+    assert result.report.wrapper_count == (0 if mode == "sequential" else
+                                           sum(1 for _ in tree.walk()) - 1)
+    assert_codec_round_trip(result.system.trace, tmp_path)
+
+
+def test_codec_keeps_equals_signs_empty_values_and_detail_order(tmp_path):
+    tree = ChildSpec(id="r", module="m=r", kind="supervisor", children=(
+        ChildSpec(id="a", module="m", args="[k=v]"),
+        ChildSpec(id="b", module="m", args="=", start_mode="concurrent"),
+        ChildSpec(id="c", module="m"),
+    ))
+    result = boot_system(DependencyGraph(), [("sys", tree)], clock=VirtualClock())
+    sink = result.system.trace
+    assert_codec_round_trip(sink, tmp_path)
+    waits = {e.node: e for e in sink.events if e.kind == "wait_begin"}
+    # prepared module and args, then the keyword conditions; None args dropped
+    assert waits["sys/r"].detail == (("module", "m=r"), ("conditions", ""))
+    assert waits["sys/r/a"].detail == (("module", "m"), ("args", "[k=v]"), ("conditions", ""))
+    assert waits["sys/r/b"].detail == (("module", "m"), ("args", "="), ("conditions", ""))
+    assert waits["sys/r/c"].detail == (("module", "m"), ("conditions", ""))
+    assert format_event(waits["sys/r/a"]).endswith(" wait_begin sys/r/a module=m args=[k=v] "
+                                                   "conditions=")
