@@ -27,8 +27,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import GraphError
+from .tracing import _has_whitespace
 
 __all__ = [
     "ModuleKey",
@@ -39,11 +41,7 @@ __all__ = [
     "serialize_release_graph",
 ]
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z")
-
-
-def _is_ident(token: str) -> bool:
-    return bool(_IDENT.match(token))
+_is_ident = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*\Z").match
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class DependencyGraph:
 
     @cached_property
     def _diagnostics(self) -> tuple[Diagnostic, ...]:
-        return tuple(_validate(self.conditions, self.groups, self.preconditions, {}))
+        return tuple(_validate(self.conditions, self.groups, self.preconditions))
 
     def validate(self) -> list[Diagnostic]:
         """Return every problem found; an empty list means usable."""
@@ -122,10 +120,12 @@ class DependencyGraph:
         return {name: key for key, name in self.conditions}
 
     @cached_property
-    def _conditions_by_module(self) -> dict[str, list[tuple[ModuleKey, str]]]:
-        table: dict[str, list[tuple[ModuleKey, str]]] = {}
+    def _conditions_by_key(self) -> dict[tuple[str, str | None], list[str]]:
+        """(module, args) -> the conditions its entries set; args None is
+        the module's wildcard entries."""
+        table: dict[tuple[str, str | None], list[str]] = {}
         for key, name in self.conditions:
-            table.setdefault(key.module, []).append((key, name))
+            table.setdefault((key.module, key.args), []).append(name)
         return table
 
     @cached_property
@@ -163,9 +163,13 @@ class DependencyGraph:
         return self.expand_names(names)
 
     def conditions_set_by(self, module: str, args: str | None = None) -> set[str]:
-        """Conditions satisfied when (module, args) finishes its init."""
-        return {name for key, name in self._conditions_by_module.get(module, ())
-                if key.args is None or key.args == args}
+        """Conditions satisfied when (module, args) finishes its init: the
+        module's wildcard entries and, for exact args, that key's entries."""
+        table = self._conditions_by_key
+        names = set(table.get((module, None), ()))
+        if args is not None:
+            names.update(table.get((module, args), ()))
+        return names
 
     def setter_of(self, condition: str) -> ModuleKey | None:
         """The module key whose startup sets this condition."""
@@ -178,6 +182,9 @@ class DependencyGraph:
         Edge direction: setter -> waiter (the waiter's start must come
         after the setter's init).  A wildcard key is conservatively
         treated as matching every exact key with the same module name.
+        The witness is the first cycle a depth-first search finds when it
+        takes keys and out-edges in declaration order; the search is
+        linear in the keys and edges.
         """
         return None if self._cycle is None else list(self._cycle)
 
@@ -186,142 +193,173 @@ class DependencyGraph:
         return self._find_cycle()
 
     def _find_cycle(self) -> tuple[ModuleKey, ...] | None:
-        vertices: list[ModuleKey] = []
-        by_module: dict[str, dict[str | None, ModuleKey]] = {}  # module -> args -> key
-        for key, _ in self.conditions + self.preconditions:
-            variants = by_module.setdefault(key.module, {})
-            if key.args not in variants:
-                variants[key.args] = key
-                vertices.append(key)
+        # Vertices are numbered in first-declaration order; the edges and
+        # colours live in lists indexed by that number.
+        number: dict[ModuleKey, int] = {}
+        keys: list[ModuleKey] = []
+        members: dict[str, list[int]] = {}  # module -> its vertices, in order
+        wildcard: dict[str, int] = {}  # module -> its wildcard's vertex
+        for key, _ in chain(self.conditions, self.preconditions):
+            if key not in number:
+                v = number[key] = len(keys)
+                keys.append(key)
+                members.setdefault(key.module, []).append(v)
+                if key.args is None:
+                    wildcard[key.module] = v
+        setter = {name: number[key] for key, name in self.conditions}
 
         # A wildcard key touches every key of its module, an exact key
         # itself and its module's wildcard, both in declaration order.
-        closure: dict[ModuleKey, tuple[ModuleKey, ...]] = {}
-        for variants in by_module.values():
-            related = tuple(variants.values())
-            for args, key in variants.items():
-                closure[key] = related if args is None else tuple(
-                    k for k in related if k.args is None or k.args == args)
+        closure: list = [None] * len(keys)
+        for module, vs in members.items():
+            w = wildcard.get(module)
+            for v in vs:
+                if w is None:
+                    closure[v] = (v,)
+                elif v == w:
+                    closure[v] = vs
+                else:
+                    closure[v] = (w, v) if w < v else (v, w)
 
         # Out-edges in insertion order; a repeated edge keeps its first place.
-        edges: dict[ModuleKey, dict[ModuleKey, None]] = {v: {} for v in vertices}
+        edges: list[dict[int, None]] = [{} for _ in keys]
         for waiter_key, names in self.preconditions:
-            waiters = dict.fromkeys(closure[waiter_key])
+            waiters = dict.fromkeys(closure[number[waiter_key]])
             for cond in sorted(self.expand_names(names)):
-                setter_key = self._setter_by_condition.get(cond)
-                if setter_key is None:
-                    continue
-                for src in closure[setter_key]:
-                    edges[src].update(waiters)
+                src = setter.get(cond)
+                if src is not None:
+                    for v in closure[src]:
+                        edges[v].update(waiters)
 
         # Depth-first search with an explicit stack, so long chains cannot
         # exhaust the interpreter's recursion limit.  ``path`` holds the
         # vertices on the current DFS path (colour 1), ``pending`` the
         # unvisited out-edges of each; finished vertices get colour 2.
-        color: dict[ModuleKey, int] = {}
-        for root in vertices:
-            if root in color:
+        color = [0] * len(keys)
+        for root in range(len(keys)):
+            if color[root]:
                 continue
             color[root] = 1
             path = [root]
             pending = [iter(edges[root])]
             while pending:
                 for w in pending[-1]:
-                    state = color.get(w, 0)
+                    state = color[w]
                     if state == 0:
                         color[w] = 1
                         path.append(w)
                         pending.append(iter(edges[w]))
                         break
                     if state == 1:
-                        return tuple(path[path.index(w):])
+                        return tuple(keys[v] for v in path[path.index(w):])
                 else:
                     pending.pop()
                     color[path.pop()] = 2
         return None
 
 
-# -- shared validation core (file parser passes source locations) --------
+# -- shared validation core (the parser passes source lines) -------------
 
 
-def _validate(conditions, groups, preconditions, lines: dict) -> list[Diagnostic]:
+def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]:
+    """Every error in the three entry lists, in entry order.
+
+    ``lines`` comes from the parser: the source line of each conditions,
+    groups and preconditions entry.  The parser has already checked each
+    entry's module name and args token, so those checks run here only for
+    a graph built in code (``lines`` None).
+    """
     diags: list[Diagnostic] = []
 
-    def err(code, message, lockey=None):
-        diags.append(Diagnostic("error", code, message, lines.get(lockey)))
+    def err(code, message, section, idx):
+        line = None if lines is None else lines[section][idx]
+        diags.append(Diagnostic("error", code, message, line))
 
+    check_keys = lines is None
     declared: set[str] = set()
     seen_keys: set[ModuleKey] = set()
     for idx, (key, name) in enumerate(conditions):
-        if not _is_ident(key.module):
-            err("malformed-key", f"bad module name {key.module!r}", ("c", idx))
-        if key.args is not None and (not key.args or any(c.isspace() for c in key.args)):
-            err("malformed-key", f"bad argument token {key.args!r}", ("c", idx))
+        if check_keys:
+            if not _is_ident(key.module):
+                err("malformed-key", f"bad module name {key.module!r}", 0, idx)
+            if key.args is not None and (not key.args or _has_whitespace(key.args)):
+                err("malformed-key", f"bad argument token {key.args!r}", 0, idx)
         if not _is_ident(name):
-            err("malformed-key", f"bad condition name {name!r}", ("c", idx))
+            err("malformed-key", f"bad condition name {name!r}", 0, idx)
         if name in declared:
-            err("duplicate-condition", f"condition {name!r} declared twice", ("c", idx))
+            err("duplicate-condition", f"condition {name!r} declared twice", 0, idx)
         declared.add(name)
-        if key in seen_keys:
-            err("duplicate-module-key", f"module key {key} declared twice", ("c", idx))
+        before = len(seen_keys)
         seen_keys.add(key)
+        if len(seen_keys) == before:
+            err("duplicate-module-key", f"module key {key} declared twice", 0, idx)
 
     group_names: set[str] = set()
     for idx, group in enumerate(groups):
         if not _is_ident(group.name):
-            err("malformed-key", f"bad group name {group.name!r}", ("g", idx))
+            err("malformed-key", f"bad group name {group.name!r}", 1, idx)
         if group.name in group_names:
-            err("duplicate-group", f"group {group.name!r} declared twice", ("g", idx))
+            err("duplicate-group", f"group {group.name!r} declared twice", 1, idx)
         group_names.add(group.name)
         if group.name in declared:
             err("name-collision",
-                f"{group.name!r} is both a condition and a group", ("g", idx))
+                f"{group.name!r} is both a condition and a group", 1, idx)
         if not group.members:
-            err("empty-group", f"group {group.name!r} has no members", ("g", idx))
+            err("empty-group", f"group {group.name!r} has no members", 1, idx)
         for member in group.members:
             if member not in declared:
                 err("unknown-name",
-                    f"group {group.name!r} references unknown condition {member!r}",
-                    ("g", idx))
+                    f"group {group.name!r} references unknown condition {member!r}", 1, idx)
             elif member in group_names and member != group.name:
                 # flat groups only; a member must be a condition
                 err("unknown-name",
-                    f"group {group.name!r} may not contain group {member!r}", ("g", idx))
+                    f"group {group.name!r} may not contain group {member!r}", 1, idx)
 
     known = declared | group_names
     precond_keys: set[ModuleKey] = set()
     for idx, (key, names) in enumerate(preconditions):
-        if not _is_ident(key.module):
-            err("malformed-key", f"bad module name {key.module!r}", ("p", idx))
-        if key.args is not None and (not key.args or any(c.isspace() for c in key.args)):
-            err("malformed-key", f"bad argument token {key.args!r}", ("p", idx))
-        if key in precond_keys:
-            err("duplicate-module-key", f"precondition key {key} declared twice", ("p", idx))
+        if check_keys:
+            if not _is_ident(key.module):
+                err("malformed-key", f"bad module name {key.module!r}", 2, idx)
+            if key.args is not None and (not key.args or _has_whitespace(key.args)):
+                err("malformed-key", f"bad argument token {key.args!r}", 2, idx)
+        before = len(precond_keys)
         precond_keys.add(key)
+        if len(precond_keys) == before:
+            err("duplicate-module-key", f"precondition key {key} declared twice", 2, idx)
         if not names:
-            err("empty-preconditions", f"empty precondition list for {key}", ("p", idx))
+            err("empty-preconditions", f"empty precondition list for {key}", 2, idx)
         for name in names:
             if name not in known:
-                err("unknown-name", f"unknown condition or group {name!r}", ("p", idx))
+                err("unknown-name", f"unknown condition or group {name!r}", 2, idx)
     return diags
 
 
 # -- file format ----------------------------------------------------------
 
 _SECTIONS = ("conditions", "groups", "preconditions")
+_condition_line = re.compile(r"(\S+)\s+(\S+)\s*->\s*(\S+)").fullmatch
+_group_line = re.compile(r"(\S+)\s*=\s*(.*)").fullmatch
+_precondition_line = re.compile(r"(\S+)\s+(\S+)\s*<-\s*(.*)").fullmatch
+_split_names = re.compile(r"\s*,\s*").split
 
 
 def parse_release_graph(source: str) -> DependencyGraph:
     """Parse ``.rgraph`` text into a validated graph.
 
-    Raises :class:`GraphError` carrying one diagnostic (with line number)
-    per problem found, covering both syntax and semantic checks.
+    One pass over the lines checks each entry's syntax, its key's module
+    name and args token, and the names of its lists; the validation that
+    follows checks every other token once.  Raises :class:`GraphError`
+    carrying one diagnostic (with line number) per problem found, covering
+    both syntax and semantic checks.
     """
     diags: list[Diagnostic] = []
     conditions: list[tuple[ModuleKey, str]] = []
     groups: list[ConditionGroup] = []
     preconditions: list[tuple[ModuleKey, tuple[str, ...]]] = []
-    lines: dict = {}
+    lines: tuple[list[int], list[int], list[int]] = ([], [], [])  # per section, per entry
+    condition_lines, group_lines, precondition_lines = lines
+    keys: dict[tuple[str, str], ModuleKey] = {}  # (module, args token) -> its checked key
 
     section = None
     seen_sections: set[str] = set()
@@ -330,21 +368,27 @@ def parse_release_graph(source: str) -> DependencyGraph:
         diags.append(Diagnostic("error", code, message, lineno))
 
     def parse_key(module_tok: str, args_tok: str, lineno: int) -> ModuleKey | None:
+        key = keys.get((module_tok, args_tok))
+        if key is not None:
+            return key
         if not _is_ident(module_tok):
             syntax("malformed-key", f"bad module name {module_tok!r}", lineno)
             return None
         if args_tok == "*":
-            return ModuleKey(module_tok)
-        if not (args_tok.startswith("[") and args_tok.endswith("]")):
+            key = ModuleKey(module_tok)
+        elif args_tok.startswith("[") and args_tok.endswith("]"):
+            key = ModuleKey(module_tok, args_tok)
+        else:
             syntax("malformed-key",
                    f"argument token must be bracketed or '*', got {args_tok!r}", lineno)
             return None
-        return ModuleKey(module_tok, args_tok)
+        keys[module_tok, args_tok] = key
+        return key
 
     def parse_name_list(text: str, lineno: int) -> tuple[str, ...] | None:
-        names = [n.strip() for n in text.split(",")] if text.strip() else []
-        if not names:
+        if not text:  # the line grammar leaves no surrounding whitespace
             return ()
+        names = _split_names(text)
         for name in names:
             if not _is_ident(name):
                 syntax("malformed-key", f"bad name {name!r}", lineno)
@@ -352,7 +396,7 @@ def parse_release_graph(source: str) -> DependencyGraph:
         return tuple(names)
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -370,44 +414,46 @@ def parse_release_graph(source: str) -> DependencyGraph:
             syntax("syntax-error", f"entry outside any section: {line!r}", lineno)
             continue
         if section == "conditions":
-            m = re.fullmatch(r"(\S+)\s+(\S+)\s*->\s*(\S+)", line)
+            m = _condition_line(line)
             if not m:
                 syntax("syntax-error",
                        f"expected '<module> <args|*> -> <condition>', got {line!r}", lineno)
                 continue
-            key = parse_key(m.group(1), m.group(2), lineno)
+            module_tok, args_tok, name = m.groups()
+            key = parse_key(module_tok, args_tok, lineno)
             if key is None:
                 continue
-            lines[("c", len(conditions))] = lineno
-            conditions.append((key, m.group(3)))
+            condition_lines.append(lineno)
+            conditions.append((key, name))
         elif section == "groups":
-            m = re.fullmatch(r"(\S+)\s*=\s*(.*)", line)
+            m = _group_line(line)
             if not m:
                 syntax("syntax-error",
                        f"expected '<group> = <name>, ...', got {line!r}", lineno)
                 continue
-            members = parse_name_list(m.group(2), lineno)
+            name, text = m.groups()
+            members = parse_name_list(text, lineno)
             if members is None:
                 continue
-            lines[("g", len(groups))] = lineno
-            groups.append(ConditionGroup(m.group(1), members))
+            group_lines.append(lineno)
+            groups.append(ConditionGroup(name, members))
         else:
-            m = re.fullmatch(r"(\S+)\s+(\S+)\s*<-\s*(.*)", line)
+            m = _precondition_line(line)
             if not m:
                 syntax("syntax-error",
                        f"expected '<module> <args|*> <- <name>, ...', got {line!r}", lineno)
                 continue
-            key = parse_key(m.group(1), m.group(2), lineno)
-            names = parse_name_list(m.group(3), lineno)
+            module_tok, args_tok, text = m.groups()
+            key = parse_key(module_tok, args_tok, lineno)
+            names = parse_name_list(text, lineno)
             if key is None or names is None:
                 continue
-            lines[("p", len(preconditions))] = lineno
+            precondition_lines.append(lineno)
             preconditions.append((key, names))
 
     diags.extend(_validate(conditions, groups, preconditions, lines))
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
-        raise GraphError(errors)
+    if diags:  # every diagnostic is an error
+        raise GraphError(diags)
     graph = DependencyGraph(tuple(conditions), tuple(groups), tuple(preconditions))
     # Seed the validation cache with this parse's own result, which is
     # empty: _validate reports only errors, and any error raised above.

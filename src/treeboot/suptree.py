@@ -814,12 +814,21 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 #
 # keys: module= args=([tok] or *), restart=permanent|temporary,
 # init=none|sleep:<ms>|busy:<ms>|fail, mode=sequential|concurrent,
-# restarts=<max>/<seconds> (supervisors only).
+# restarts=<max>/<seconds> (supervisors only).  A number is what float()
+# or int() reads from ASCII text without '_'.
 
 
 # Shared by every parsed node that does not set its own; both are immutable.
 _NO_INIT = InitModel()
 _DEFAULT_FLAGS = SupervisorFlags()
+
+
+def _number(text: str, convert):
+    """``convert(text)`` for ASCII text without ``_``: ``float`` and ``int``
+    also read ``1_0`` and other scripts' digits, which the format does not."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"number {text!r} holds '_' or a non-ASCII character")
+    return convert(text)
 
 
 def _parse_init(token: str, line: int) -> InitModel:
@@ -830,66 +839,68 @@ def _parse_init(token: str, line: int) -> InitModel:
     for prefix, maker in (("sleep:", InitModel.sleep), ("busy:", InitModel.busy)):
         if token.startswith(prefix):
             try:
-                return maker(float(token[len(prefix):]))
+                return maker(_number(token[len(prefix):], float))
             except ValueError:
                 raise TreeError(f"bad init duration in {token!r}", line) from None
     raise TreeError(f"unknown init model {token!r}", line)
 
 
 def parse_tree(text: str) -> ChildSpec:
-    """Parse a tree description file into its root ChildSpec."""
-    stack: list[tuple[int, dict]] = []  # (depth, mutable node)
-    nodes: list[dict] = []  # every node in file order: parents before children
+    """Parse a tree description file into its root ChildSpec.
+
+    One pass reads each line into a node's fields and its parent; the
+    specs are then built bottom-up, so ``ChildSpec`` checks every node.
+    """
+    # Every node in file order, parents before children: its ChildSpec
+    # fields other than children, its children's indexes and its line.
+    nodes: list[tuple[tuple, list[int], int]] = []
+    stack: list[tuple[int, int]] = []  # (depth, node index) of the open nodes
+    inits: dict[str, InitModel] = {}  # init token -> its model, for this call
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].rstrip()
-        if not stripped.strip():
+        line = raw.partition("#")[0]
+        tokens = line.split()
+        if not tokens:
             continue
-        indent = len(stripped) - len(stripped.lstrip(" "))
-        if stripped[indent].isspace():
-            raise TreeError(f"indentation must be spaces, found {stripped[indent]!r}", lineno)
+        indent = len(line) - len(line.lstrip(" "))
+        if line[indent].isspace():
+            raise TreeError(f"indentation must be spaces, found {line[indent]!r}", lineno)
         if indent % 2 != 0:
             raise TreeError("indentation must be multiples of two spaces", lineno)
         depth = indent // 2
-        tokens = stripped.split()
-        kind_tok, node_id = tokens[0], tokens[1] if len(tokens) > 1 else None
-        if kind_tok not in ("sup", "worker") or node_id is None:
-            raise TreeError(f"expected 'sup <id>' or 'worker <id>', got {stripped.strip()!r}",
+        kind_tok = tokens[0]
+        if kind_tok not in ("sup", "worker") or len(tokens) < 2:
+            raise TreeError(f"expected 'sup <id>' or 'worker <id>', got {line.strip()!r}",
                             lineno)
-        fields: dict = {
-            "id": node_id,
-            "module": node_id,
-            "args": None,
-            "restart": "permanent",
-            "kind": "supervisor" if kind_tok == "sup" else "worker",
-            "start_mode": "sequential",
-            "init": _NO_INIT,
-            "flags": _DEFAULT_FLAGS,
-            "children": [],
-            "line": lineno,
-        }
+        node_id = module = tokens[1]
+        kind = "supervisor" if kind_tok == "sup" else "worker"
+        args, restart, start_mode, init, flags = (
+            None, "permanent", "sequential", _NO_INIT, _DEFAULT_FLAGS)
         for token in tokens[2:]:
-            if "=" not in token:
+            key, eq, value = token.partition("=")
+            if not eq:
                 raise TreeError(f"expected key=value, got {token!r}", lineno)
-            key, value = token.split("=", 1)
             if key == "module":
-                fields["module"] = value
+                module = value
             elif key == "args":
-                fields["args"] = None if value == "*" else value
+                args = None if value == "*" else value
             elif key == "restart":
-                fields["restart"] = value
+                restart = value
             elif key == "init":
-                fields["init"] = _parse_init(value, lineno)
+                init = inits.get(value)
+                if init is None:
+                    init = inits[value] = _parse_init(value, lineno)
             elif key == "mode":
                 if value not in ("sequential", "concurrent"):
                     raise TreeError(f"bad mode {value!r}", lineno)
-                fields["start_mode"] = value
+                start_mode = value
             elif key == "restarts":
-                if kind_tok != "sup":
+                if kind != "supervisor":
                     raise TreeError("restarts= is for supervisors only", lineno)
                 try:
                     max_restarts, max_seconds = value.split("/", 1)
-                    fields["flags"] = SupervisorFlags(int(max_restarts), float(max_seconds))
+                    flags = SupervisorFlags(_number(max_restarts, int),
+                                            _number(max_seconds, float))
                 except ValueError:
                     raise TreeError(f"expected restarts=<max>/<seconds>, got {value!r}",
                                     lineno) from None
@@ -904,27 +915,27 @@ def parse_tree(text: str) -> ChildSpec:
         else:
             if not stack:
                 raise TreeError("indented node without a parent", lineno)
-            parent = stack[-1][1]
-            if parent["kind"] != "supervisor":
-                raise TreeError(f"worker {parent['id']!r} cannot have children", lineno)
-            parent["children"].append(fields)
-        stack.append((depth, fields))
-        nodes.append(fields)
+            parent_fields, siblings, _ = nodes[stack[-1][1]]
+            if parent_fields[4] != "supervisor":
+                raise TreeError(f"worker {parent_fields[0]!r} cannot have children", lineno)
+            siblings.append(len(nodes))
+        stack.append((depth, len(nodes)))
+        nodes.append(((node_id, module, args, restart, kind, start_mode, init, flags),
+                      [], lineno))
 
     if not nodes:
         raise TreeError("empty tree file")
 
     # Built in reverse file order, every child's spec is ready before its
     # parent's, with no recursion on deep trees.
-    built: dict[int, ChildSpec] = {}
-    for node in reversed(nodes):
-        line = node.pop("line")
-        children = tuple(built.pop(id(c)) for c in node.pop("children"))
+    specs: list[ChildSpec | None] = [None] * len(nodes)
+    for index in range(len(nodes) - 1, -1, -1):
+        fields, children, line = nodes[index]
         try:
-            built[id(node)] = ChildSpec(children=children, **node)
+            specs[index] = ChildSpec(*fields, tuple([specs[c] for c in children]))
         except ValueError as exc:
             raise TreeError(str(exc), line) from None
-    return built[id(nodes[0])]
+    return specs[0]
 
 
 def serialize_tree(spec: ChildSpec) -> str:

@@ -168,8 +168,9 @@ def format_event(event: TraceEvent) -> str:
 def parse_trace(lines) -> list[TraceEvent]:
     """Parse trace lines back into events; inverse of :func:`format_event`.
 
-    ``seq`` must be ASCII decimal digits and ``ts`` a finite float; a
-    detail token splits at its first ``=``.  Blank lines and lines
+    ``seq`` must be ASCII decimal digits and ``ts`` a finite float
+    written in ASCII without ``_``; a detail token splits at its first
+    ``=``.  Blank lines and lines
     starting with ``#`` are skipped; any other bad line raises
     TraceFormatError naming its line number.
     """
@@ -184,13 +185,15 @@ def parse_trace(lines) -> list[TraceEvent]:
         if len(fields) < 4:
             raise TraceFormatError(
                 f"line {lineno}: expected 'seq ts kind node', got {raw.strip()!r}")
-        seq = fields[0]
+        seq, ts_text = fields[0], fields[1]
         try:
-            ts = float(fields[1])
+            ts = float(ts_text)
         except ValueError:
             ts = None
-        # ts - ts is 0.0 for every finite float and nan for nan and the infinities
-        if not (seq.isdigit() and seq.isascii() and ts is not None and ts - ts == 0.0):
+        # ts - ts is 0.0 for every finite float and nan for nan and the
+        # infinities; float() also reads '_' and other scripts' digits.
+        if not (seq.isdigit() and seq.isascii() and ts is not None and ts - ts == 0.0
+                and ts_text.isascii() and "_" not in ts_text):
             raise TraceFormatError(f"line {lineno}: bad seq/ts in {raw.strip()!r}")
         kind = fields[2]
         if kind not in EVENT_KINDS:

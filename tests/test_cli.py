@@ -133,6 +133,8 @@ def test_run_sequential_mode(workdir, capsys):
     ("  sup s restarts=1/nan", "expected restarts="),
     ("  worker w module=generic_server init=sleep:nan", "bad init duration"),
     ("  worker w module=generic_server init=sleep:-1", "bad init duration"),
+    ("  worker w module=generic_server init=sleep:1_0", "bad init duration"),
+    ("  sup s restarts=1_0/2_0", "expected restarts="),
 ])
 def test_run_bad_tree_exit_2(workdir, capsys, line, fragment):
     (workdir / "bad.tree").write_text(f"sup rootsup module=app1_rootsup\n{line}\n")
@@ -186,6 +188,15 @@ def test_check_release_with_leading_comment(workdir, capsys):
     assert main(["run", str(commented), "--virtual-clock", "--trace", str(trace_path)]) == 0
     assert main(["check", str(trace_path), str(workdir / "sys.rgraph"), str(commented)]) == 0
     assert "no violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("init", ["sleep:1_0", "sleep:\u0661\u0662"])
+def test_check_tree_with_a_non_ascii_or_underscored_number_exit_2(workdir, capsys, init):
+    (workdir / "empty.trace").write_text("")
+    (workdir / "bad.tree").write_text(f"sup r\n  worker w init={init}\n")
+    assert main(["check", str(workdir / "empty.trace"), str(workdir / "sys.rgraph"),
+                 str(workdir / "bad.tree")]) == 2
+    assert "bad init duration" in capsys.readouterr().err
 
 
 def test_check_malformed_trace_exit_2(workdir, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -428,30 +429,38 @@ def test_expansion_contains_no_group_names(graph, module, args):
     assert graph.expand_preconditions(ModuleKey(module, args)) == expanded
 
 
-def _independent_has_cycle(vertices, edges) -> bool:
-    """Plain three-color DFS, written separately from the production code."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in vertices}
-
-    def dfs(v) -> bool:
-        color[v] = GREY
-        for w in edges.get(v, ()):
-            if color[w] == GREY or (color[w] == WHITE and dfs(w)):
-                return True
-        color[v] = BLACK
-        return False
-
-    return any(color[v] == WHITE and dfs(v) for v in vertices)
+def _scan_conditions_set_by(graph, module, args):
+    """The scan over every condition entry that the index replaced."""
+    return {name for key, name in graph.conditions
+            if key.module == module and (key.args is None or key.args == args)}
 
 
 @given(graphs())
 @settings(max_examples=60)
-def test_cycle_check_agrees_with_independent_dfs(graph):
-    if any(d.severity == "error" for d in graph.validate()):
-        return
-    witness = graph.cycle_check()
+def test_conditions_set_by_equals_a_scan_of_the_entries(graph):
+    # one module with a wildcard entry and exact entries around it
+    both = ((ModuleKey("both", "[1]"), "b1"), (ModuleKey("both"), "b_any"),
+            (ModuleKey("both", "[2]"), "b2"), (ModuleKey("both"), "b_any2"))
+    graph = DependencyGraph(graph.conditions + both, graph.groups, graph.preconditions)
+    modules = {key.module for key, _ in graph.conditions} | {"absent"}
+    arg_tokens = {key.args for key, _ in graph.conditions} | {None, "[zz]"}
+    for module in sorted(modules):
+        for args in sorted(arg_tokens, key=str):
+            names = graph.conditions_set_by(module, args)
+            assert names == _scan_conditions_set_by(graph, module, args)
+            names.add("not a condition")  # each call returns a fresh set
+            assert graph.conditions_set_by(module, args) == _scan_conditions_set_by(
+                graph, module, args)
+    assert graph.conditions_set_by("both", "[1]") == {"b1", "b_any", "b_any2"}
+    assert graph.conditions_set_by("both") == {"b_any", "b_any2"}
 
-    # rebuild the module-level wait graph the slow way
+
+def independent_wait_graph(graph):
+    """The module-level wait graph, built the slow way: vertices in
+    first-declaration order, each key's closure by a scan over every
+    vertex, and out-edges in the order that the preconditions, their
+    sorted expanded names, the setter's closure and the waiter's closure
+    give them."""
     vertices = []
     for key, _ in graph.conditions + graph.preconditions:
         if key not in vertices:
@@ -463,20 +472,117 @@ def test_cycle_check_agrees_with_independent_dfs(graph):
                 if v.module == key.module
                 and (key.args is None or v.args is None or v.args == key.args)]
 
-    edges = {}
+    edges = {v: {} for v in vertices}
     for waiter, names in graph.preconditions:
-        for cond in graph.expand_names(names):
-            if cond not in setters:
-                continue
-            for src in closure(setters[cond]):
-                for dst in closure(waiter):
-                    edges.setdefault(src, set()).add(dst)
+        for cond in sorted(graph.expand_names(names)):
+            if cond in setters:
+                for src in closure(setters[cond]):
+                    for dst in closure(waiter):
+                        edges[src][dst] = None
+    return vertices, edges
 
-    assert (witness is not None) == _independent_has_cycle(vertices, edges)
+
+def independent_witness(vertices, edges):
+    """The first cycle that a plain recursive three-colour DFS finds,
+    written separately from the production code, listed from the vertex
+    where the search entered it."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = dict.fromkeys(vertices, WHITE)
+    path = []
+
+    def dfs(v):
+        color[v] = GREY
+        path.append(v)
+        for w in edges[v]:
+            if color[w] == GREY:
+                return path[path.index(w):]
+            if color[w] == WHITE and (found := dfs(w)):
+                return found
+        color[v] = BLACK
+        path.pop()
+        return None
+
+    for v in vertices:
+        if color[v] == WHITE and (found := dfs(v)):
+            return found
+    return None
+
+
+@given(graphs())
+@settings(max_examples=60)
+def test_cycle_check_agrees_with_independent_dfs(graph):
+    if any(d.severity == "error" for d in graph.validate()):
+        return
+    witness = graph.cycle_check()
+    vertices, edges = independent_wait_graph(graph)
+    assert witness == independent_witness(vertices, edges)
     if witness is not None:
         # the witness must be a real cycle in the wait graph
         for a, b in zip(witness, witness[1:] + witness[:1]):
-            assert b in edges.get(a, ())
+            assert b in edges[a]
+
+
+# Module m has exact keys m [0] .. m [4] and a wildcard, declared before,
+# between or after them; each case links m to module n so that the search
+# meets m's keys in declaration order.
+WILDCARD_ORDER_CASES = {
+    "exact waits through n": ["n * <- c1", "m [3] <- cn"],
+    "wildcard waits through n": ["n * <- c3", "m * <- cn"],
+    "exact waits on exact": ["m [1] <- c3"],
+    "acyclic": ["n * <- c1, cw"],
+}
+
+
+def wildcard_order_graph(wildcard_at: int, preconditions: list[str]) -> str:
+    conditions = [f"m [{i}] -> c{i}" for i in range(5)]
+    conditions.insert(wildcard_at, "m * -> cw")
+    return "\n".join(["[conditions]", *conditions, "n * -> cn",
+                      "[preconditions]", *preconditions]) + "\n"
+
+
+@pytest.mark.parametrize("wildcard_at", [0, 1, 3, 5], ids=["before", "second",
+                                                          "between", "after"])
+@pytest.mark.parametrize("case", list(WILDCARD_ORDER_CASES))
+def test_cycle_check_witness_with_the_wildcard_anywhere(wildcard_at, case):
+    graph = parse_release_graph(wildcard_order_graph(wildcard_at, WILDCARD_ORDER_CASES[case]))
+    witness = graph.cycle_check()
+    assert witness == independent_witness(*independent_wait_graph(graph))
+    assert (witness is None) == (case == "acyclic")
+
+
+def test_cycle_check_witness_follows_the_wildcard_position():
+    witnesses = {
+        at: [str(k) for k in parse_release_graph(wildcard_order_graph(
+            at, WILDCARD_ORDER_CASES["exact waits through n"])).cycle_check()]
+        for at in (0, 3, 5)}
+    assert witnesses == {0: ["m", "n"], 3: ["n", "m"], 5: ["n", "m"]}
+
+
+def wide_module_graph(k: int) -> DependencyGraph:
+    """One module m with k exact keys and a wildcard among them; n [i]
+    waits on the condition of m [i], so the graph is acyclic and the
+    search visits every key."""
+    conditions = [(ModuleKey("m", f"[{i}]"), f"c{i}") for i in range(k)]
+    conditions.insert(k // 2, (ModuleKey("m"), "cw"))
+    preconditions = [(ModuleKey("n", f"[{i}]"), (f"c{i}",)) for i in range(k)]
+    return DependencyGraph(tuple(conditions), (), tuple(preconditions))
+
+
+def test_cycle_check_time_grows_linearly_with_the_keys_of_a_module():
+    def cpu_seconds(k: int) -> float:
+        graph = wide_module_graph(k)
+        times = []
+        for _ in range(3):
+            fresh = DependencyGraph(graph.conditions, graph.groups, graph.preconditions)
+            t0 = time.process_time()
+            assert fresh.cycle_check() is None
+            times.append(time.process_time() - t0)
+        return min(times)
+
+    # 4x the keys: a linear search costs about 4x, the per-key scan of
+    # the whole module that this replaced about 16x.
+    ratio = cpu_seconds(16_000) / cpu_seconds(4_000)
+    assert ratio < 8, f"cycle_check at 16 000 keys took {ratio:.1f}x its time at 4 000"
 
 
 if __name__ == "__main__":

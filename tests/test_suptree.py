@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 from dataclasses import replace
@@ -677,6 +678,34 @@ def test_parse_tree_errors(bad, fragment):
     with pytest.raises(TreeError) as exc:
         parse_tree(bad)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("token, fragment", [
+    ("init=sleep:1_0", "bad init duration"),
+    ("init=busy:1_000.5", "bad init duration"),
+    ("init=sleep:\u0661\u0662", "bad init duration"),
+    ("init=sleep:1.\u0665", "bad init duration"),
+    ("init=busy:\uff12", "bad init duration"),
+    ("restarts=1_0/2_0", "expected restarts="),
+    ("restarts=1/2_0", "expected restarts="),
+    ("restarts=\u0663/5", "expected restarts="),
+    ("restarts=3/\u0665", "expected restarts="),
+])
+def test_parse_tree_reads_only_ascii_numbers_without_underscores(token, fragment):
+    # float() and int() read these; serialize_tree would write them back differently
+    with pytest.raises(TreeError, match=fragment) as exc:
+        parse_tree(f"sup r\n  sup a {token}\n")
+    assert exc.value.line == 2
+
+
+def test_parse_tree_reads_the_numbers_it_writes():
+    text = ("sup r restarts=2/0.25\n  worker a init=sleep:1e+06\n"
+            "  worker b init=busy:0.5\n  sup c restarts=0/inf\n")
+    root = parse_tree(text)
+    assert root.flags == SupervisorFlags(2, 0.25)
+    assert root.children[0].init == InitModel.sleep(1e6)
+    assert root.children[2].flags == SupervisorFlags(0, math.inf)
+    assert serialize_tree(root) == text
 
 
 @pytest.mark.parametrize("field, value, fragment", [

@@ -152,6 +152,10 @@ def test_parse_trace_skips_comments_and_blanks():
     "0 inf ack root",
     "0 -inf ack root",
     "0 1e400 ack root",
+    "0 1_0.000000 ack root",
+    "0 \u0661\u0662.000000 ack root",
+    "0 1.\u0665 ack root",
+    "0 \uff11.000000 ack root",
 ])
 def test_parse_trace_malformed(bad):
     with pytest.raises(TraceFormatError):
