@@ -289,10 +289,9 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
         if name in declared:
             err("duplicate-condition", f"condition {name!r} declared twice", 0, idx)
         declared.add(name)
-        before = len(seen_keys)
-        seen_keys.add(key)
-        if len(seen_keys) == before:
+        if key in seen_keys:
             err("duplicate-module-key", f"module key {key} declared twice", 0, idx)
+        seen_keys.add(key)
 
     group_names: set[str] = set()
     for idx, group in enumerate(groups):
@@ -323,10 +322,9 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
                 err("malformed-key", f"bad module name {key.module!r}", 2, idx)
             if key.args is not None and (not key.args or _has_whitespace(key.args)):
                 err("malformed-key", f"bad argument token {key.args!r}", 2, idx)
-        before = len(precond_keys)
-        precond_keys.add(key)
-        if len(precond_keys) == before:
+        if key in precond_keys:
             err("duplicate-module-key", f"precondition key {key} declared twice", 2, idx)
+        precond_keys.add(key)
         if not names:
             err("empty-preconditions", f"empty precondition list for {key}", 2, idx)
         for name in names:

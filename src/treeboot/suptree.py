@@ -854,7 +854,7 @@ def parse_tree(text: str) -> ChildSpec:
     # Every node in file order, parents before children: its ChildSpec
     # fields other than children, its children's indexes and its line.
     nodes: list[tuple[tuple, list[int], int]] = []
-    stack: list[tuple[int, int]] = []  # (depth, node index) of the open nodes
+    stack: list[tuple[int, str, str, list[int]]] = []  # open nodes: depth, id, kind, children
     inits: dict[str, InitModel] = {}  # init token -> its model, for this call
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -915,13 +915,14 @@ def parse_tree(text: str) -> ChildSpec:
         else:
             if not stack:
                 raise TreeError("indented node without a parent", lineno)
-            parent_fields, siblings, _ = nodes[stack[-1][1]]
-            if parent_fields[4] != "supervisor":
-                raise TreeError(f"worker {parent_fields[0]!r} cannot have children", lineno)
+            _, parent_id, parent_kind, siblings = stack[-1]
+            if parent_kind != "supervisor":
+                raise TreeError(f"worker {parent_id!r} cannot have children", lineno)
             siblings.append(len(nodes))
-        stack.append((depth, len(nodes)))
+        children: list[int] = []
+        stack.append((depth, node_id, kind, children))
         nodes.append(((node_id, module, args, restart, kind, start_mode, init, flags),
-                      [], lineno))
+                      children, lineno))
 
     if not nodes:
         raise TreeError("empty tree file")

@@ -170,13 +170,13 @@ def parse_trace(lines) -> list[TraceEvent]:
 
     ``seq`` must be ASCII decimal digits and ``ts`` a finite float
     written in ASCII without ``_``; a detail token splits at its first
-    ``=``.  Blank lines and lines
-    starting with ``#`` are skipped; any other bad line raises
-    TraceFormatError naming its line number.
+    ``=``.  Blank lines and lines starting with ``#`` are skipped; any
+    other bad line raises TraceFormatError naming its line number.
     """
     events: list[TraceEvent] = []
     # detail text -> parsed detail; only texts whose every token parsed
     details: dict[str, tuple[tuple[str, str], ...]] = {}
+    stamps: dict[str, float] = {}  # ts text -> its value; only texts that passed
     new = tuple.__new__
     for lineno, raw in enumerate(lines, start=1):
         fields = raw.split(None, 4)
@@ -186,14 +186,19 @@ def parse_trace(lines) -> list[TraceEvent]:
             raise TraceFormatError(
                 f"line {lineno}: expected 'seq ts kind node', got {raw.strip()!r}")
         seq, ts_text = fields[0], fields[1]
-        try:
-            ts = float(ts_text)
-        except ValueError:
-            ts = None
-        # ts - ts is 0.0 for every finite float and nan for nan and the
-        # infinities; float() also reads '_' and other scripts' digits.
-        if not (seq.isdigit() and seq.isascii() and ts is not None and ts - ts == 0.0
-                and ts_text.isascii() and "_" not in ts_text):
+        ts = stamps.get(ts_text)
+        if ts is None:
+            try:
+                ts = float(ts_text)
+            except ValueError:
+                pass
+            # ts - ts is 0.0 for every finite float and nan for nan and the
+            # infinities; float() also reads '_' and other scripts' digits.
+            if ts is not None and ts - ts == 0.0 and ts_text.isascii() and "_" not in ts_text:
+                stamps[ts_text] = ts
+            else:
+                ts = None
+        if not (seq.isdigit() and seq.isascii() and ts is not None):
             raise TraceFormatError(f"line {lineno}: bad seq/ts in {raw.strip()!r}")
         kind = fields[2]
         if kind not in EVENT_KINDS:

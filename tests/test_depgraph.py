@@ -540,8 +540,7 @@ def wildcard_order_graph(wildcard_at: int, preconditions: list[str]) -> str:
                       "[preconditions]", *preconditions]) + "\n"
 
 
-@pytest.mark.parametrize("wildcard_at", [0, 1, 3, 5], ids=["before", "second",
-                                                          "between", "after"])
+@pytest.mark.parametrize("wildcard_at", [0, 3, 5], ids=["before", "between", "after"])
 @pytest.mark.parametrize("case", list(WILDCARD_ORDER_CASES))
 def test_cycle_check_witness_with_the_wildcard_anywhere(wildcard_at, case):
     graph = parse_release_graph(wildcard_order_graph(wildcard_at, WILDCARD_ORDER_CASES[case]))
