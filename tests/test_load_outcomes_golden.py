@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from functools import cache
 from pathlib import Path
 
 from treeboot import (GraphError, TreeError, parse_release_graph, parse_tree,
@@ -133,7 +132,6 @@ def tree_outcome(text: str) -> str:
     return f"ok {_digest(serialize_tree(root))}"
 
 
-@cache
 def case_lines(seed: int) -> tuple[str, ...]:
     system = random_system(seed, max_depth=3)
     texts = {"graph": serialize_release_graph(system.graph),
