@@ -233,20 +233,23 @@ def critical_path(root: ChildSpec, graph: DependencyGraph | None = None,
     graph.require_valid()
 
     # Node milestones 0..count-1 in pre-order; condition milestones follow.
+    # Each node reads its key's needs and sets from the graph's start plan.
+    start_plan = graph.start_plan
     paths: list[str] = []
     offsets: list[float] = []
-    waits: list[set[str]] = []
+    waits: list[frozenset[str]] = []
     children: list[list[int]] = []
     sequential: list[bool] = []
     setters: dict[str, list[int]] = {}
     index_of: dict[str, int] = {}
     for index, (path, spec, parent, _) in enumerate(root.walk()):
+        plan = start_plan(spec.module, spec.args)
         paths.append(path)
         offsets.append(spec.init.duration_ms)
-        waits.append(graph.expand_preconditions(spec.key()))
+        waits.append(plan.needs)
         children.append([])
         sequential.append(force_sequential or spec.start_mode != "concurrent")
-        for name in graph.conditions_set_by(spec.module, spec.args):
+        for name in plan.sets:
             setters.setdefault(name, []).append(index)
         index_of[path] = index
         if parent is not None:

@@ -17,16 +17,21 @@ are active at the same virtual instant follows OS scheduling.
 Start plans: everything a start of one ``(module, args)`` key needs that
 does not change during a run (its expanded preconditions, the conditions
 it sets, its checked trace details) is worked out on the key's first start
-and kept in the store's plan table, which the supervision runtime reads too.
+and kept on the graph (:meth:`DependencyGraph.start_plan`), so every store
+over one graph, the supervision runtime, the analytic model and the trace
+checker read the same plan.  A start that needs nothing reads no truth
+value and takes no lock; a key that sets nothing returns from
+``set_condition`` before taking the lock.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 from .clock import Clock, WallClock
-from .depgraph import DependencyGraph, ModuleKey
+from .depgraph import DependencyGraph, ModuleKey, StartPlan
 from .errors import DeadlockError
 from .tracing import TraceSink, prepare_detail
 
@@ -69,27 +74,18 @@ class DeadlockReport:
 
 
 _NO_CONDITIONS = prepare_detail(conditions="")
+_first_no_wait = threading.Lock()
 
 
-class StartPlan:
-    """What every start of one ``(module, args)`` key reads from the graph
-    and the trace format, worked out once per store.
-
-    ``needs`` are the expanded preconditions, ``sets`` the conditions the
-    key sets, in name order; ``detail`` is the checked ``module``/``args``
-    trace detail, ``no_wait_detail`` the ``wait_begin`` detail of a start
-    that does not block and ``no_wait_report`` its result.
-    """
-
-    __slots__ = ("key", "needs", "sets", "detail", "no_wait_detail", "no_wait_report")
-
-    def __init__(self, graph: DependencyGraph, module: str, args: str | None):
-        self.key = ModuleKey(module, args)
-        self.needs = frozenset(graph.expand_preconditions(self.key))
-        self.sets = tuple(sorted(graph.conditions_set_by(module, args)))
-        self.detail = prepare_detail(module=module, args=args)
-        self.no_wait_detail = self.detail + _NO_CONDITIONS
-        self.no_wait_report = WaitReport(self.key, 0.0, frozenset())
+def _no_wait(plan: StartPlan) -> tuple:
+    """The plan's ``wait_begin`` detail and ``WaitReport`` of a start that
+    does not wait, made on the first such start of the key from any store
+    and published in one assignment."""
+    with _first_no_wait:
+        if plan.no_wait is None:
+            plan.no_wait = (plan.detail + _NO_CONDITIONS,
+                            WaitReport(plan.key, 0.0, frozenset()))
+    return plan.no_wait
 
 
 class _Waiter:
@@ -128,7 +124,6 @@ class ConditionStore:
         self.deadlock_timeout_ms = deadlock_timeout_ms
         self._truth: dict[str, bool] = {name: False for _, name in graph.conditions}
         self._waiters: list[_Waiter] = []
-        self._plans: dict[tuple[str, str | None], StartPlan] = {}
         self._last_progress_ms = self.clock.now()
 
     # -- observability ---------------------------------------------------
@@ -143,14 +138,11 @@ class ConditionStore:
             return len(self._waiters)
 
     def plan(self, module: str, args: str | None = None) -> StartPlan:
-        """The start plan of (module, args), made on its first use.
+        """The graph's start plan of (module, args), made on its first use.
 
         Raises ValueError when ``module`` or ``args`` contains whitespace.
         """
-        key = (module, args)
-        # Racing first uses may each make a plan; all of them read the one kept.
-        return self._plans.get(key) or self._plans.setdefault(
-            key, StartPlan(self.graph, module, args))
+        return self.graph.start_plan(module, args)
 
     # -- the two runtime entry points -------------------------------------
 
@@ -160,7 +152,9 @@ class ConditionStore:
         Returns the set of conditions that transitioned false -> true.
         Idempotent; unknown modules are a no-op by design.
         """
-        sets = self.plan(module, args).sets
+        sets = self.graph.start_plan(module, args).sets
+        if not sets:
+            return set()
         with self.clock.cond:
             now = self.clock.now()
             names = [name for name in sets if not self._truth[name]]
@@ -190,14 +184,16 @@ class ConditionStore:
 
         Raises :class:`DeadlockError` when the watchdog aborts the wait.
         """
-        plan = self.plan(module, args)
+        plan = self.graph.start_plan(module, args)
+        if not plan.needs:
+            # No truth value to read, so no lock, as for the runtime's
+            # start_request.
+            return self._emit_no_wait(plan, node)
         with self.clock.cond:
-            now = self.clock.now()
-            unmet = plan.needs and {name for name in plan.needs if not self._truth[name]}
+            unmet = {name for name in plan.needs if not self._truth[name]}
             if not unmet:
-                self.trace.emit(now, "wait_begin", node, plan.no_wait_detail)
-                self.trace.emit(now, "wait_end", node, plan.detail)
-                return plan.no_wait_report
+                return self._emit_no_wait(plan, node)
+            now = self.clock.now()
             self.trace.emit(now, "wait_begin", node, plan.detail,
                             conditions=",".join(sorted(unmet)))
             waiter = _Waiter(plan, node, unmet, now, self.clock.waiter())
@@ -226,7 +222,7 @@ class ConditionStore:
         if now - quiet_since < self.deadlock_timeout_ms:
             return None
         waiters = sorted(self._waiters,
-                         key=lambda w: (w.plan.key.module, w.plan.key.args or ""))
+                         key=lambda w: (w.plan.module, w.plan.args or ""))
         blocked = tuple((w.plan.key, frozenset(w.unmet)) for w in waiters)
         unset = frozenset().union(*(missing for _, missing in blocked))
         report = DeadlockReport(blocked, unset, now - self._last_progress_ms)
@@ -239,6 +235,14 @@ class ConditionStore:
         return report
 
     # -- internals -----------------------------------------------------------
+
+    def _emit_no_wait(self, plan: StartPlan, node: str) -> WaitReport:
+        """Trace a start that does not wait; its report."""
+        detail, report = plan.no_wait or _no_wait(plan)
+        now = self.clock.now()
+        self.trace.emit(now, "wait_begin", node, detail)
+        self.trace.emit(now, "wait_end", node, plan.detail)
+        return report
 
     def _release(self, waiter: _Waiter, now: float) -> None:
         # Emitted here, under the lock and in registration order, so the

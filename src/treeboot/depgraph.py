@@ -5,7 +5,8 @@ and which conditions (or groups of them) a module startup must observe
 before running its init.  Graphs are loaded from ``.rgraph`` files or built
 programmatically, validated once, and treated as read-only afterwards:
 each graph object keeps its diagnostics and its cycle witness in
-``cached_property`` slots beside its lookup tables.
+``cached_property`` slots beside its lookup tables, and one start plan per
+``(module, args)`` key that has started (:meth:`DependencyGraph.start_plan`).
 
 File format (line oriented, UTF-8, ``#`` comments)::
 
@@ -30,13 +31,14 @@ from functools import cached_property
 from itertools import chain
 
 from .errors import GraphError
-from .tracing import _has_whitespace
+from .tracing import _has_whitespace, prepare_key_detail
 
 __all__ = [
     "ModuleKey",
     "ConditionGroup",
     "Diagnostic",
     "DependencyGraph",
+    "StartPlan",
     "parse_release_graph",
     "serialize_release_graph",
 ]
@@ -78,6 +80,42 @@ class Diagnostic:
         return f"{where}{self.severity}[{self.code}] {self.message}"
 
 
+_NO_NEEDS: frozenset[str] = frozenset()
+
+
+class StartPlan:
+    """What every start of one ``(module, args)`` key reads from the graph
+    and the trace format, made once per graph by
+    :meth:`DependencyGraph.start_plan`.
+
+    ``needs`` are the expanded preconditions and ``sets`` the conditions
+    the key sets, in name order; the analytic model, the condition store
+    and the trace checker read them.  ``detail`` is the checked
+    ``module``/``args`` trace detail of the key's start events.  ``no_wait``
+    is None until the condition store's first start of the key that does
+    not wait sets it to that start's ``wait_begin`` detail and
+    ``WaitReport``.
+
+    A plan is complete before any thread sees it; a key with no entry for
+    its module shares one empty ``needs`` and one empty ``sets``.
+    """
+
+    __slots__ = ("module", "args", "needs", "sets", "detail", "no_wait")
+
+    def __init__(self, graph: "DependencyGraph", module: str, args: str | None):
+        self.detail = prepare_key_detail(module, args)  # first: raises on whitespace
+        self.module = module
+        self.args = args
+        self.needs = (frozenset(graph._expand(module, args))
+                      if module in graph._precondition_modules else _NO_NEEDS)
+        self.sets = graph._sets(module, args) if module in graph._setter_modules else ()
+        self.no_wait = None  # (wait_begin detail, WaitReport), set by the store
+
+    @property
+    def key(self) -> ModuleKey:
+        return ModuleKey(self.module, self.args)
+
+
 @dataclass(frozen=True)
 class DependencyGraph:
     """Vertices (conditions), groups, and edges (preconditions).
@@ -89,6 +127,11 @@ class DependencyGraph:
     conditions: tuple[tuple[ModuleKey, str], ...] = ()
     groups: tuple[ConditionGroup, ...] = ()
     preconditions: tuple[tuple[ModuleKey, tuple[str, ...]], ...] = ()
+
+    def __post_init__(self):
+        # (module, args) -> its start plan.  Made here, not on first use, so
+        # that threads racing to the graph's first start share one table.
+        object.__setattr__(self, "_plans", {})
 
     # -- validation (run once per graph, then read from the cache) ------
 
@@ -120,6 +163,14 @@ class DependencyGraph:
         return {name: key for key, name in self.conditions}
 
     @cached_property
+    def _setter_modules(self) -> frozenset[str]:
+        return frozenset(key.module for key, _ in self.conditions)
+
+    @cached_property
+    def _precondition_modules(self) -> frozenset[str]:
+        return frozenset(key.module for key, _ in self.preconditions)
+
+    @cached_property
     def _conditions_by_key(self) -> dict[tuple[str, str | None], list[str]]:
         """(module, args) -> the conditions its entries set; args None is
         the module's wildcard entries."""
@@ -129,16 +180,19 @@ class DependencyGraph:
         return table
 
     @cached_property
-    def _precondition_by_key(self) -> dict[ModuleKey, tuple[str, ...]]:
-        return {key: names for key, names in self.preconditions}
+    def _precondition_by_key(self) -> dict[tuple[str, str | None], tuple[str, ...]]:
+        """(module, args) -> its precondition entry's names; args None is
+        the module's wildcard entry."""
+        return {(key.module, key.args): names for key, names in self.preconditions}
 
     # -- queries --------------------------------------------------------
 
     def expand_names(self, names) -> set[str]:
         """Replace group names with their member conditions."""
         out: set[str] = set()
+        groups = self._group_members
         for name in names:
-            members = self._group_members.get(name)
+            members = groups.get(name)
             if members is None:
                 out.add(name)
             else:
@@ -152,24 +206,41 @@ class DependencyGraph:
         module are unioned; group names are fully expanded.  Empty set when
         no entry applies.
         """
-        names: list[str] = []
-        exact = self._precondition_by_key.get(key)
-        if exact is not None:
-            names.extend(exact)
-        if key.args is not None:
-            wildcard = self._precondition_by_key.get(ModuleKey(key.module))
-            if wildcard is not None:
-                names.extend(wildcard)
+        return self._expand(key.module, key.args)
+
+    def _expand(self, module: str, args: str | None) -> set[str]:
+        table = self._precondition_by_key
+        names = table.get((module, args), ())
+        if args is not None:
+            names += table.get((module, None), ())
         return self.expand_names(names)
 
     def conditions_set_by(self, module: str, args: str | None = None) -> set[str]:
         """Conditions satisfied when (module, args) finishes its init: the
         module's wildcard entries and, for exact args, that key's entries."""
+        return set(self._sets(module, args))
+
+    def _sets(self, module: str, args: str | None) -> tuple[str, ...]:
+        # conditions_set_by in name order; in a valid graph a condition has
+        # one entry, so the wildcard's and the exact key's names never repeat.
         table = self._conditions_by_key
-        names = set(table.get((module, None), ()))
+        names = table.get((module, None), [])
         if args is not None:
-            names.update(table.get((module, args), ()))
-        return names
+            names = names + table.get((module, args), [])
+        return tuple(sorted(names))
+
+    def start_plan(self, module: str, args: str | None = None) -> StartPlan:
+        """The start plan of (module, args), made on its first use and kept
+        for every later use, from any store or thread.
+
+        Raises ValueError when ``module`` or ``args`` contains whitespace.
+        """
+        key = (module, args)
+        plan = self._plans.get(key)
+        if plan is None:
+            # Racing first uses may each make a plan; all of them read the one kept.
+            plan = self._plans.setdefault(key, StartPlan(self, module, args))
+        return plan
 
     def setter_of(self, condition: str) -> ModuleKey | None:
         """The module key whose startup sets this condition."""
@@ -193,20 +264,22 @@ class DependencyGraph:
         return self._find_cycle()
 
     def _find_cycle(self) -> tuple[ModuleKey, ...] | None:
-        # Vertices are numbered in first-declaration order; the edges and
-        # colours live in lists indexed by that number.
-        number: dict[ModuleKey, int] = {}
+        # Vertices are numbered in first-declaration order of their
+        # (module, args) pairs; the edges and colours live in lists indexed
+        # by that number.
+        number: dict[tuple[str, str | None], int] = {}
         keys: list[ModuleKey] = []
         members: dict[str, list[int]] = {}  # module -> its vertices, in order
         wildcard: dict[str, int] = {}  # module -> its wildcard's vertex
         for key, _ in chain(self.conditions, self.preconditions):
-            if key not in number:
-                v = number[key] = len(keys)
+            pair = (key.module, key.args)
+            if pair not in number:
+                v = number[pair] = len(keys)
                 keys.append(key)
                 members.setdefault(key.module, []).append(v)
                 if key.args is None:
                     wildcard[key.module] = v
-        setter = {name: number[key] for key, name in self.conditions}
+        setter = {name: number[key.module, key.args] for key, name in self.conditions}
 
         # A wildcard key touches every key of its module, an exact key
         # itself and its module's wildcard, both in declaration order.
@@ -224,7 +297,7 @@ class DependencyGraph:
         # Out-edges in insertion order; a repeated edge keeps its first place.
         edges: list[dict[int, None]] = [{} for _ in keys]
         for waiter_key, names in self.preconditions:
-            waiters = dict.fromkeys(closure[number[waiter_key]])
+            waiters = dict.fromkeys(closure[number[waiter_key.module, waiter_key.args]])
             for cond in sorted(self.expand_names(names)):
                 src = setter.get(cond)
                 if src is not None:
@@ -277,7 +350,7 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
 
     check_keys = lines is None
     declared: set[str] = set()
-    seen_keys: set[ModuleKey] = set()
+    seen_keys: set[tuple[str, str | None]] = set()
     for idx, (key, name) in enumerate(conditions):
         if check_keys:
             if not _is_ident(key.module):
@@ -289,9 +362,10 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
         if name in declared:
             err("duplicate-condition", f"condition {name!r} declared twice", 0, idx)
         declared.add(name)
-        if key in seen_keys:
+        pair = (key.module, key.args)
+        if pair in seen_keys:
             err("duplicate-module-key", f"module key {key} declared twice", 0, idx)
-        seen_keys.add(key)
+        seen_keys.add(pair)
 
     group_names: set[str] = set()
     for idx, group in enumerate(groups):
@@ -315,16 +389,17 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
                     f"group {group.name!r} may not contain group {member!r}", 1, idx)
 
     known = declared | group_names
-    precond_keys: set[ModuleKey] = set()
+    precond_keys: set[tuple[str, str | None]] = set()
     for idx, (key, names) in enumerate(preconditions):
         if check_keys:
             if not _is_ident(key.module):
                 err("malformed-key", f"bad module name {key.module!r}", 2, idx)
             if key.args is not None and (not key.args or _has_whitespace(key.args)):
                 err("malformed-key", f"bad argument token {key.args!r}", 2, idx)
-        if key in precond_keys:
+        pair = (key.module, key.args)
+        if pair in precond_keys:
             err("duplicate-module-key", f"precondition key {key} declared twice", 2, idx)
-        precond_keys.add(key)
+        precond_keys.add(pair)
         if not names:
             err("empty-preconditions", f"empty precondition list for {key}", 2, idx)
         for name in names:

@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 
 from .condsrv import ConditionStore
 from .clock import VirtualClock
-from .depgraph import DependencyGraph, ModuleKey
+from .depgraph import DependencyGraph
 from .errors import DeadlockError, QuiescenceTimeout, StartupError, TreeError
 from .tracing import TraceEvent, _has_whitespace
 
@@ -172,9 +172,6 @@ class ChildSpec:
                 raise ValueError(f"duplicate child id {child.id!r} under {self.id!r}")
             seen.add(child.id)
 
-    def key(self) -> ModuleKey:
-        return ModuleKey(self.module, self.args)
-
     def walk(self, path: str | None = None
              ) -> Iterator[tuple[str, "ChildSpec", str | None, int]]:
         """Yield (path, spec, parent path, depth) for this spec and every
@@ -231,7 +228,7 @@ class Node:
         self.parent = parent
         self.children: list[Node] = []
         self.flags = WRAPPER_FLAGS if wrapper else spec.flags
-        self.restart_times: list[float] = []
+        self.restart_times: list[float] | tuple = ()  # a list from the first restart on
         self._runtime = runtime
 
     def find(self, path: str) -> "Node | None":
@@ -331,8 +328,11 @@ class Runtime:
 
     def start_tree(self, spec: ChildSpec, *, path: str | None = None) -> Node:
         """Start a root node; blocks until it acked.  Raises StartupError
-        when its start fails, DeadlockError when a wait was aborted."""
+        when its start fails, DeadlockError when a wait was aborted, and
+        ValueError, before any event, when ``path`` is empty or holds
+        whitespace."""
         full_path = path if path is not None else spec.id
+        _check_root_path(full_path)
         if self._t0 is None:
             self._t0 = self.clock.now()
         with self.clock.attached():
@@ -623,12 +623,20 @@ def run_worker_lifecycle(spec: ChildSpec, store: ConditionStore,
     """Run a single worker's start: wait, init, publish, ack.
 
     True on ack; False when the init failed (crash traced, no conditions
-    published).  A watchdog abort raises :class:`DeadlockError`.
+    published).  A watchdog abort raises :class:`DeadlockError`; a ``path``
+    that is empty or holds whitespace raises ValueError before any event.
     """
     runtime = Runtime(store)
     node_path = path if path is not None else spec.id
+    _check_root_path(node_path)
     with runtime.clock.attached():
         return runtime._start(None, spec, node_path, runtime.roots)[1]
+
+
+def _check_root_path(path: str) -> None:
+    # A root's path is the node field of its trace lines.
+    if not path or _has_whitespace(path):
+        raise ValueError(f"root path {path!r} must be non-empty, without whitespace")
 
 
 def check_quiescence_timeout(timeout_ms: float | None) -> None:
@@ -716,10 +724,9 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
     undeclared = set(by_node)
     undeclared.discard("-")
     wrappers_present = any(node.endswith(WRAPPER_SUFFIX) for node in undeclared)
-    # modules with a precondition entry, and the sorted preconditions of
-    # each (module, args) key started here that has one
-    entry_modules = {key.module for key, _ in graph.preconditions}
-    needs: dict[tuple[str, str | None], list[str]] = {}
+    # a key needs a condition only when a precondition entry names its
+    # module, the same test its start plan makes
+    start_plan, waiting_modules = graph.start_plan, graph._precondition_modules
     no_events: dict[str, TraceEvent] = {}
     # (rule group, path, violation); the groups, in output order: 0 structure,
     # 1 lifecycle, 2 preconditions, 3 sibling order, 4 wrappers
@@ -748,12 +755,8 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 
             # precondition safety: every needed condition set before init_begin
             init_begin = firsts.get("init_begin")
-            if init_begin is not None and spec.module in entry_modules:
-                key = (spec.module, spec.args)
-                names = needs.get(key)
-                if names is None:
-                    names = needs[key] = sorted(graph.expand_preconditions(spec.key()))
-                for name in names:
+            if init_begin is not None and spec.module in waiting_modules:
+                for name in sorted(start_plan(spec.module, spec.args).needs):
                     setter = first_set.get(name)
                     if setter is None:
                         add(2, path, "unsatisfied-precondition",

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import TraceFormatError
 
 __all__ = ["EVENT_KINDS", "TraceEvent", "TraceSink", "PreparedDetail", "prepare_detail",
-           "format_event", "parse_trace"]
+           "prepare_key_detail", "format_event", "parse_trace"]
 
 EVENT_KINDS = frozenset(
     {
@@ -51,8 +51,8 @@ _has_whitespace = re.compile(r"\s").search
 
 class PreparedDetail(tuple):
     """Checked ``(key, value)`` detail pairs; only :func:`prepare_detail`
-    makes one, and ``+`` joins two.  Compares equal to the plain tuple of
-    the same pairs."""
+    and :func:`prepare_key_detail` make one, and ``+`` joins two.
+    Compares equal to the plain tuple of the same pairs."""
 
     __slots__ = ()
 
@@ -85,6 +85,15 @@ def prepare_detail(**detail: object) -> PreparedDetail:
     calls: ``None`` values are dropped, the others ``str()``-ed, and a
     value with whitespace raises ValueError."""
     return tuple.__new__(PreparedDetail, _checked_items(detail))
+
+
+def prepare_key_detail(module: str, args: str | None) -> PreparedDetail:
+    """``prepare_detail(module=module, args=args)`` for ``str`` values,
+    with one whitespace search over both."""
+    if _has_whitespace(module if args is None else module + args):
+        prepare_detail(module=module, args=args)  # raises, naming the bad key
+    pairs = (("module", module),) if args is None else (("module", module), ("args", args))
+    return tuple.__new__(PreparedDetail, pairs)
 
 
 _NO_DETAIL = prepare_detail()

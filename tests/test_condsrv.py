@@ -382,25 +382,49 @@ def test_start_plan_is_made_once_per_key_and_shared(two_app_graph):
 
 def test_racing_first_starts_share_one_plan_per_key(two_app_graph):
     store, _ = make_store(two_app_graph)
+    other, _ = make_store(two_app_graph)  # a second store over the same graph
     keys = [("generic_server", f"[app1_server{n}]") for n in (1, 2, 3)] + [("m", None)]
     seen: list[dict] = []
+    reports: list[dict] = []
 
-    def first_starts():
+    def first_starts(store):
         seen.append({key: store.plan(*key) for key in keys})
+        reports.append({key: store.wait_for_conditions(*key) for key in keys})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=first_starts) for _ in range(8)]
+        threads = [threading.Thread(target=first_starts, args=((store, other)[n % 2],))
+                   for n in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(10)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and len(seen) == 8
-    for plans in seen:
-        assert all(plans[key] is store.plan(*key) for key in keys)
+    assert not any(t.is_alive() for t in threads) and len(seen) == len(reports) == 8
+    for plans, made in zip(seen, reports):
+        assert all(plans[key] is store.plan(*key) is other.plan(*key) for key in keys)
+        assert all(made[key] is store.plan(*key).no_wait[1] for key in keys)
+        for (module, args), plan in plans.items():
+            # every field was set before the plan was published
+            assert (plan.module, plan.args) == (module, args)
+            assert plan.detail == ((("module", module),) if args is None else
+                                   (("module", module), ("args", args)))
+            assert plan.sets == (() if module == "m" else (f"cond_app1_server{args[-2]}",))
+            assert plan.needs == frozenset()
+
+
+def test_stores_over_one_graph_share_its_plans_and_no_wait_reports(two_app_graph):
+    first, _ = make_store(two_app_graph)
+    second, _ = make_store(two_app_graph)
+    plan = first.plan("generic_server", "[app2_server1]")
+    assert second.plan("generic_server", "[app2_server1]") is plan
+    assert two_app_graph.start_plan("generic_server", "[app2_server1]") is plan
+    report = first.wait_for_conditions("app1_rootsup", "[x]", node="a")
+    assert second.wait_for_conditions("app1_rootsup", "[x]", node="b") is report
+    assert second.trace.events[0].detail == first.trace.events[0].detail == (
+        ("module", "app1_rootsup"), ("args", "[x]"), ("conditions", ""))
 
 
 def test_unblocked_wait_returns_the_plans_report(two_app_graph):

@@ -202,6 +202,23 @@ def test_failing_init_emits_crash_and_sets_nothing():
     assert store.snapshot() == {"c_m": False}
 
 
+@pytest.mark.parametrize("path", ["a b", "x\ty", ""])
+def test_root_path_that_breaks_a_trace_line_is_refused_before_any_event(path):
+    rt, store, _ = fresh()
+    worker = ChildSpec(id="w", module="w")
+    sup = ChildSpec(id="s", module="s", kind="supervisor", children=(worker,))
+    with pytest.raises(ValueError, match="root path"):
+        run_worker_lifecycle(worker, store, path=path)
+    with pytest.raises(ValueError, match="root path"):
+        rt.start_tree(sup, path=path)
+    with pytest.raises(ValueError):  # the id or the module the path gives is refused
+        rt.start_supervisor(SupervisorFlags(), (worker,), path=path)
+    if path:  # with an id and a module of its own, start_tree refuses the path
+        with pytest.raises(ValueError, match="root path"):
+            rt.start_supervisor(SupervisorFlags(), (worker,), path=f"{path}/s", module="s")
+    assert store.trace.events == [] and rt.roots == []
+
+
 def test_callable_init_receives_args():
     seen = []
     rt, store, _ = fresh()
