@@ -2,8 +2,10 @@
 
 Builds the canonical shape: a supervisor with one concurrent child (which
 ends up behind a wrapper) and one sequential child.  Then crashes the
-concurrent child and shows the escalation path: the wrapper (restart
-budget zero) terminates, and the *original* parent restarts the slot.
+concurrent child and shows the escalation path: the wrapper never
+restarts; the slot's parent decides, so the wrapper terminates and the
+*original* parent restarts the slot.  A temporary concurrent child takes
+the same path, and its parent removes the slot instead.
 
 Run:
     python demos/demo_wrapper_restarts.py
@@ -55,6 +57,17 @@ def main():
     for supervisor, decision in outcome.hops:
         print(f"  {supervisor}: {decision}")
     print(f"root state: {root.state}")
+
+    print("\na crash of a temporary concurrent child: its parent removes the slot")
+    runtime = Runtime(ConditionStore(DependencyGraph(), clock=VirtualClock()))
+    root = runtime.start_supervisor(SupervisorFlags(), (
+        ChildSpec(id="t", module="mt", restart="temporary", start_mode="concurrent"),
+    ), path="s")
+    runtime.await_quiescence()
+    outcome = runtime.inject_crash(root.find("s/t"))
+    for supervisor, decision in outcome.hops:
+        print(f"  {supervisor}: {decision}")
+    show_tree(root)
 
 
 if __name__ == "__main__":

@@ -160,16 +160,14 @@ def boot_system(
     runtime = Runtime(store, force_sequential=(mode == "sequential"))
 
     per_app: list[tuple[str, float]] = []
-    roots: list[Node] = []
     with clock.attached():
         for app_name, root_spec in apps:
             started = clock.now()
-            root = runtime.start_tree(root_spec, path=f"{app_name}/{root_spec.id}")
+            runtime.start_tree(root_spec, path=f"{app_name}/{root_spec.id}")
             per_app.append((app_name, clock.now() - started))
-            roots.append(root)
         report = runtime.await_quiescence(quiescence_timeout_ms)
 
-    system = SystemRef(runtime, store, trace, tuple(roots))
+    system = SystemRef(runtime, store, trace, tuple(runtime.roots))
     return BootResult(system, tuple(per_app), report)
 
 

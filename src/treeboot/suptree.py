@@ -5,9 +5,9 @@ acknowledging (ack) once its startup finished.  A child tagged
 ``concurrent`` is started through a *wrapper* supervisor instead: the
 wrapper acks its parent immediately, hands the real start to a one-shot
 starter task, and later *attaches* the started child.  Crashes of the
-attached child terminate the wrapper (restart budget zero), so the
-original parent's restart policy still applies to the slot — the tree
-shape and the restart semantics survive parallelization.
+attached child terminate the wrapper, which never restarts: the slot's
+parent decides, so the original restart policy still applies to the slot
+— the tree shape and the restart semantics survive parallelization.
 
 Every worker and supervisor start is bracketed by the condition store:
 wait for preconditions immediately before init, publish the completed
@@ -36,7 +36,7 @@ import hashlib
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -77,6 +77,7 @@ class InitModel:
     kinds: ``none`` (free), ``sleep`` (timed, non-CPU-bound), ``busy``
     (timed CPU burn that releases the interpreter lock, so lanes really
     compete for cores), ``fail`` (always raises), ``call`` (run ``fn``).
+    Only ``sleep`` and ``busy`` take a duration, and only ``call`` an ``fn``.
     """
 
     kind: str = "none"
@@ -92,6 +93,8 @@ class InitModel:
             raise ValueError(f"a call init needs a callable fn, not {self.fn!r}")
         if self.kind != "call" and self.fn is not None:
             raise ValueError(f"a {self.kind} init takes no fn")
+        if self.duration_ms and self.kind not in ("sleep", "busy"):
+            raise ValueError(f"a {self.kind} init takes no duration")
 
     @staticmethod
     def sleep(duration_ms: float) -> "InitModel":
@@ -125,7 +128,9 @@ class SupervisorFlags:
             raise ValueError("max_seconds must be > 0")
 
 
-WRAPPER_FLAGS = SupervisorFlags(0, 1.0)
+# Shared by every spec that does not set its own; both are immutable.
+_NO_INIT = InitModel()
+_DEFAULT_FLAGS = SupervisorFlags()
 _bad_id_char = re.compile(r"[\s/#]").search
 
 
@@ -135,7 +140,8 @@ class ChildSpec:
 
     ``start_mode`` distinguishes a plain sequential start from a
     concurrent (fork point) start; it defaults to sequential.  ``flags``
-    is the restart budget a supervisor applies to its children.
+    is the restart budget a supervisor applies to its children; a worker
+    takes none, so only the default is accepted on one.
     """
 
     id: str
@@ -144,8 +150,8 @@ class ChildSpec:
     restart: str = "permanent"  # permanent | temporary
     kind: str = "worker"  # worker | supervisor
     start_mode: str = "sequential"  # sequential | concurrent
-    init: InitModel = field(default_factory=InitModel)
-    flags: SupervisorFlags = field(default_factory=SupervisorFlags)
+    init: InitModel = _NO_INIT
+    flags: SupervisorFlags = _DEFAULT_FLAGS
     children: tuple["ChildSpec", ...] = ()
 
     def __post_init__(self):
@@ -166,6 +172,9 @@ class ChildSpec:
             raise ValueError(f"bad restart {self.restart!r}")
         if self.kind == "worker" and self.children:
             raise ValueError(f"worker {self.id!r} cannot have children")
+        if (self.kind == "worker" and self.flags is not _DEFAULT_FLAGS  # identity first:
+                and self.flags != _DEFAULT_FLAGS):  # a load builds many workers
+            raise ValueError(f"worker {self.id!r} takes no restart flags")
         seen = set()
         for child in self.children:
             if child.id in seen:
@@ -218,7 +227,7 @@ class Node:
     """A live supervision-tree node (worker, supervisor, or wrapper)."""
 
     __slots__ = ("path", "spec", "kind", "state", "parent", "children",
-                 "flags", "restart_times", "_runtime")
+                 "restart_times", "_runtime")
 
     def __init__(self, path, spec, parent, runtime, *, wrapper=False):
         self.path = path
@@ -227,32 +236,30 @@ class Node:
         self.state = "starting"  # starting | running | terminated
         self.parent = parent
         self.children: list[Node] = []
-        self.flags = WRAPPER_FLAGS if wrapper else spec.flags
         self.restart_times: list[float] | tuple = ()  # a list from the first restart on
         self._runtime = runtime
 
-    def find(self, path: str) -> "Node | None":
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.path == path:
-                return node
-            stack.extend(reversed(node.children))
-        return None
-
-    def shape(self):
-        """Nested (id-ish, kind, children) tuples of live nodes."""
+    def walk(self, *, live: bool = False) -> list["Node"]:
+        """This node and its descendants, each before its children and the
+        last child first; ``live`` skips terminated children's subtrees."""
         order, stack = [], [self]
         while stack:
             node = stack.pop()
-            live = [c for c in node.children if c.state != "terminated"]
-            order.append((node, live))
-            stack.extend(live)
-        # Reversed, the pre-order puts every child before its parent.
+            order.append(node)
+            stack.extend([c for c in node.children if c.state != "terminated"]
+                         if live else node.children)
+        return order
+
+    def find(self, path: str) -> "Node | None":
+        return next((node for node in self.walk() if node.path == path), None)
+
+    def shape(self):
+        """Nested (id-ish, kind, children) tuples of live nodes."""
         shapes: dict[Node, tuple] = {}
-        for node, live in reversed(order):
+        for node in reversed(self.walk(live=True)):
             shapes[node] = (node.path.rsplit("/", 1)[-1], node.kind,
-                            tuple(shapes.pop(c) for c in live))
+                            tuple(shapes.pop(c) for c in node.children
+                                  if c.state != "terminated"))
         return shapes[self]
 
     def __repr__(self):
@@ -309,8 +316,7 @@ class Runtime:
         self.roots: list[Node] = []
         self._outstanding = 0  # concurrent starts not yet attached/failed
         self._failure: BaseException | None = None
-        self._acked_paths: set[str] = set()
-        self._wrapper_count = 0
+        self._acked_paths: set[str] = set()  # every declared node and wrapper that acked
         self._t0: float | None = None
         self._quiescent = self.clock.waiter()  # woken once starts settle or fail
         self._last_done_ms = 0.0
@@ -332,7 +338,8 @@ class Runtime:
         ValueError, before any event, when ``path`` is empty or holds
         whitespace."""
         full_path = path if path is not None else spec.id
-        _check_root_path(full_path)
+        if not full_path or _has_whitespace(full_path):  # the node field of its events
+            raise ValueError(f"root path {full_path!r} must be non-empty, without whitespace")
         if self._t0 is None:
             self._t0 = self.clock.now()
         with self.clock.attached():
@@ -352,18 +359,17 @@ class Runtime:
                 while self._outstanding and self._failure is None:
                     self._quiescent = self.clock.waiter()
                     if not self.clock.wait(self._quiescent, deadline) and self._failure is None:
+                        nodes, _ = self._acked_counts()
                         raise QuiescenceTimeout(
                             f"startup incomplete after {timeout_ms:g} ms: "
-                            f"{len(self._acked_paths)} node(s) acked, "
+                            f"{nodes} node(s) acked, "
                             f"{self._outstanding} concurrent start(s) outstanding",
-                            len(self._acked_paths), self._outstanding,
+                            nodes, self._outstanding,
                         )
                 if self._failure is not None:
                     raise self._failure
                 t0 = self._t0 if self._t0 is not None else 0.0
-                declared = {p for p in self._acked_paths if not p.endswith(WRAPPER_SUFFIX)}
-                return StartupReport(self._last_done_ms - t0, len(declared),
-                                     self._wrapper_count)
+                return StartupReport(self._last_done_ms - t0, *self._acked_counts())
 
     def inject_crash(self, node: Node) -> CrashOutcome:
         """Terminate a running node and let its supervisor react."""
@@ -479,7 +485,6 @@ class Runtime:
         with self.clock.cond:
             parent.children.append(wrapper)
             self._outstanding += 1
-            self._wrapper_count += 1
         self._emit("start_request", wrapper_path)
         with self.clock.cond:
             wrapper.state = "running"
@@ -487,7 +492,22 @@ class Runtime:
 
         def starter():
             try:
-                self._run_concurrent_start(wrapper, spec, child_path)
+                node, ok = self._start(wrapper, spec, child_path, None)
+                with self.clock.cond:
+                    if wrapper.state == "terminated":
+                        # The wrapper went down with its parent during the
+                        # start: the child follows it and never attaches.
+                        self._terminate_subtree(node, emit_self=True,
+                                                reason="parent-terminated")
+                        return
+                    if ok:
+                        wrapper.children.append(node)
+                        self._emit("attach", wrapper_path, child=child_path)
+                        self._last_done_ms = max(self._last_done_ms, self.clock.now())
+                        return
+                    wrapper.state = "terminated"
+                    self._emit("terminate", wrapper_path, reason="child-start-failure")
+                self._handle_child_exit(parent, wrapper, [], start_failed=True)
             except DeadlockError as exc:
                 with self.clock.cond:
                     if wrapper.state != "terminated":
@@ -506,43 +526,30 @@ class Runtime:
         self.clock.spawn(starter, name=f"starter:{child_path}")
         return wrapper
 
-    def _run_concurrent_start(self, wrapper: Node, spec: ChildSpec, child_path: str):
-        node, ok = self._start(wrapper, spec, child_path, None)
-        with self.clock.cond:
-            if wrapper.state == "terminated":
-                # The wrapper went down with its parent while the child was
-                # starting: the child follows it and never attaches.
-                self._terminate_subtree(node, emit_self=True, reason="parent-terminated")
-                return
-            if ok:
-                wrapper.children.append(node)
-                self._emit("attach", wrapper.path, child=child_path)
-                self._last_done_ms = max(self._last_done_ms, self.clock.now())
-                return
-            # The wrapper's zero budget terminates it and the slot's fate
-            # goes back to the original parent.
-            wrapper.state = "terminated"
-            self._emit("terminate", wrapper.path, reason="child-start-failure")
-        self._handle_child_exit(wrapper.parent, wrapper, [])
-
     # -- crash handling -------------------------------------------------------
 
-    def _handle_child_exit(self, sup: Node, child: Node, hops: list) -> None:
+    def _handle_child_exit(self, sup: Node, child: Node, hops: list, *,
+                           start_failed: bool = False) -> None:
         """Apply ``sup``'s policy to its exited ``child``: remove a temporary
         child, restart the slot within the budget, or escalate to sup's
-        parent (failing the run at a root).  A restart that fails to start
-        is handled the same way, without recording its decisions in
-        ``hops``."""
+        parent (failing the run at a root).  A wrapper never restarts: the
+        slot's parent decides.  A restart that fails to start is handled the
+        same way, without recording its decisions in ``hops``.  A failed
+        start (``start_failed``) is retried within the budget even for a
+        temporary child; a crash of one removes it."""
         while True:
             with self.clock.cond:
                 if sup.state == "terminated":
                     return
                 if child in sup.children:
                     sup.children.remove(child)
-                if child.spec.restart == "temporary" and child.kind != "wrapper":
+                if sup.kind == "wrapper":
+                    restart = False
+                elif child.spec.restart == "temporary" and not start_failed:
                     hops.append((sup.path, "removed"))
                     return
-                restart = self._allow_restart(sup)
+                else:
+                    restart = self._allow_restart(sup)
                 hops.append((sup.path, "restarted" if restart else "escalated"))
                 if not restart:
                     self._terminate_subtree(sup, emit_self=True,
@@ -555,20 +562,20 @@ class Runtime:
                 child, ok = self._start(sup, spec, f"{sup.path}/{spec.id}", sup.children)
                 if ok:
                     return
-                hops = []
+                hops, start_failed = [], True
             elif sup.parent is None:
                 with self.clock.cond:
                     self._fail(StartupError(f"root {sup.path} terminated", sup.path))
                 return
             else:
-                sup, child = sup.parent, sup
+                sup, child, start_failed = sup.parent, sup, False
 
     def _allow_restart(self, sup: Node) -> bool:
         # Budget: at most max_restarts restarts per max_seconds window.
         now = self.clock.now()
-        window = sup.flags.max_seconds * 1000.0
+        window = sup.spec.flags.max_seconds * 1000.0
         sup.restart_times = [t for t in sup.restart_times if now - t < window]
-        if len(sup.restart_times) < sup.flags.max_restarts:
+        if len(sup.restart_times) < sup.spec.flags.max_restarts:
             sup.restart_times.append(now)
             return True
         return False
@@ -576,13 +583,7 @@ class Runtime:
     def _terminate_subtree(self, node: Node, *, emit_self: bool, reason: str = "killed") -> None:
         """Terminate ``node`` and its live descendants, each after its
         children in child order; a terminated child's subtree is skipped."""
-        # Pre-order with the children reversed is post-order reversed.
-        order, stack = [], [node]
-        while stack:
-            current = stack.pop()
-            order.append(current)
-            stack.extend(c for c in current.children if c.state != "terminated")
-        for current in reversed(order):
+        for current in reversed(node.walk(live=True)):
             if current.state != "terminated":
                 current.state = "terminated"
                 if current is not node:
@@ -596,6 +597,11 @@ class Runtime:
         if self._failure is None:
             self._failure = exc
         self.clock.wake(self._quiescent)
+
+    def _acked_counts(self) -> tuple[int, int]:
+        """(declared nodes, wrappers) that acked, each path counted once."""
+        wrappers = sum(1 for path in self._acked_paths if path.endswith(WRAPPER_SUFFIX))
+        return len(self._acked_paths) - wrappers, wrappers
 
     def _ack(self, path: str) -> None:
         event = self._emit("ack", path)
@@ -626,17 +632,11 @@ def run_worker_lifecycle(spec: ChildSpec, store: ConditionStore,
     published).  A watchdog abort raises :class:`DeadlockError`; a ``path``
     that is empty or holds whitespace raises ValueError before any event.
     """
-    runtime = Runtime(store)
-    node_path = path if path is not None else spec.id
-    _check_root_path(node_path)
-    with runtime.clock.attached():
-        return runtime._start(None, spec, node_path, runtime.roots)[1]
-
-
-def _check_root_path(path: str) -> None:
-    # A root's path is the node field of its trace lines.
-    if not path or _has_whitespace(path):
-        raise ValueError(f"root path {path!r} must be non-empty, without whitespace")
+    try:
+        Runtime(store).start_tree(spec, path=path)
+    except StartupError:
+        return False
+    return True
 
 
 def check_quiescence_timeout(timeout_ms: float | None) -> None:
@@ -821,11 +821,6 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 # or int() reads from ASCII text without '_'.
 
 
-# Shared by every parsed node that does not set its own; both are immutable.
-_NO_INIT = InitModel()
-_DEFAULT_FLAGS = SupervisorFlags()
-
-
 def _number(text: str, convert):
     """``convert(text)`` for ASCII text without ``_``: ``float`` and ``int``
     also read ``1_0`` and other scripts' digits, which the format does not."""
@@ -961,7 +956,7 @@ def serialize_tree(spec: ChildSpec) -> str:
             parts.append("init=fail")
         if node.start_mode != "sequential":
             parts.append(f"mode={node.start_mode}")
-        if node.kind == "supervisor" and node.flags != SupervisorFlags():
+        if node.flags != _DEFAULT_FLAGS:
             parts.append(f"restarts={node.flags.max_restarts}/{node.flags.max_seconds:g}")
         lines.append("  " * depth + " ".join(parts))
         stack.extend((child, depth + 1) for child in reversed(node.children))

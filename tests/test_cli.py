@@ -355,3 +355,14 @@ def test_bench_config_file_overridden_by_explicit_flag(workdir, tmp_path):
     assert main(["bench", "--config", str(config), "--repeat", "2",
                  "--out", str(out)]) == 0
     assert len(out.read_text().strip().splitlines()) == 3  # header + 2 reps
+
+
+def test_run_quiescence_timeout_exit_1_counts_declared_nodes(workdir, capsys):
+    (workdir / "slow.tree").write_text("sup root\n"
+                                       "  worker slow init=sleep:100 mode=concurrent\n"
+                                       "  worker quick init=sleep:1\n")
+    (workdir / "slow.rel").write_text("release slow\ngraph sys.rgraph\napp a slow.tree\n")
+    assert main(["run", str(workdir / "slow.rel"), "--virtual-clock",
+                 "--quiescence-timeout", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "startup incomplete after 5 ms: 2 node(s) acked" in err
