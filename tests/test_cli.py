@@ -366,3 +366,47 @@ def test_run_quiescence_timeout_exit_1_counts_declared_nodes(workdir, capsys):
                  "--quiescence-timeout", "5"]) == 1
     err = capsys.readouterr().err
     assert "startup incomplete after 5 ms: 2 node(s) acked" in err
+
+
+# -- the exit-code contract: each error is one message and one code ----------------
+
+
+def test_run_bad_application_name_exit_2(workdir, capsys):
+    (workdir / "slash.rel").write_text("release r\ngraph sys.rgraph\napp a/b app1.tree\n")
+    assert main(["run", str(workdir / "slash.rel"), "--virtual-clock"]) == 2
+    assert capsys.readouterr().err == ("error: application name 'a/b' must be non-empty, "
+                                       "without whitespace or '/'\n")
+
+
+def test_run_missing_graph_file_exit_2(workdir, capsys):
+    (workdir / "nograph.rel").write_text("release r\ngraph gone.rgraph\napp a app1.tree\n")
+    assert main(["run", str(workdir / "nograph.rel"), "--virtual-clock"]) == 2
+    assert capsys.readouterr().err == f"error: graph file not found: {workdir / 'gone.rgraph'}\n"
+
+
+def test_check_empty_tree_exit_2(workdir, capsys):
+    (workdir / "empty.trace").write_text("")
+    (workdir / "empty.tree").write_text("# nothing here\n")
+    assert main(["check", str(workdir / "empty.trace"), str(workdir / "sys.rgraph"),
+                 str(workdir / "empty.tree")]) == 2
+    assert capsys.readouterr().err == "error: empty tree file\n"
+
+
+def test_check_invalid_graph_exit_2_with_its_diagnostics(workdir, capsys):
+    # the graph is an input of the check, not its subject: exit 2, not 1
+    (workdir / "empty.trace").write_text("")
+    bad = workdir / "bad.rgraph"
+    bad.write_text("[preconditions]\nm * <- ghost\n")
+    assert main(["validate", str(bad)]) == 1
+    diagnostics = capsys.readouterr().err
+    assert "unknown-name" in diagnostics
+    assert main(["check", str(workdir / "empty.trace"), str(bad),
+                 str(workdir / "app1.tree")]) == 2
+    assert capsys.readouterr().err == diagnostics
+
+
+def test_bench_fork_count_exit_0(capsys):
+    assert main(["bench", "--topology", "deep", "--fork-count", "2", "--virtual-clock",
+                 "--delay-ms", "1", "--repeat", "1"]) == 0
+    assert "placement=first:2 tagged=2 nodes=1093 wrappers=2" in capsys.readouterr().out
+
