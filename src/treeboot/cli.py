@@ -6,6 +6,8 @@ release with tracing), ``check`` (verify a trace against graph + tree),
 
 Exit codes are a stable contract: 0 success, 1 semantic failure
 (diagnostics, cycle, deadlock, trace violations), 2 usage or I/O error.
+A command raises; ``main`` reports the error and maps it to its code
+through ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -23,16 +25,45 @@ from .errors import (
     BootRefusedError,
     DeadlockError,
     GraphError,
+    ParseError,
     QuiescenceTimeout,
-    ReleaseError,
     StartupError,
     TraceFormatError,
-    TreeError,
 )
 from .suptree import check_trace, parse_tree
 from .tracing import parse_trace
 
 OK, FAIL, USAGE = 0, 1, 2
+
+# The exit code of each error a command may raise; main reports an error by
+# its first entry, so a subclass goes before its base.  ClockStalledError is
+# absent on purpose: it means a runtime bug and keeps its traceback.
+EXIT_CODES: tuple[tuple[type[Exception], int], ...] = (
+    (GraphError, FAIL),
+    (BootRefusedError, FAIL),
+    (DeadlockError, FAIL),
+    (StartupError, FAIL),
+    (QuiescenceTimeout, FAIL),
+    (ParseError, USAGE),  # TreeError, ReleaseError
+    (TraceFormatError, USAGE),
+    (ValueError, USAGE),
+    (OSError, USAGE),
+)
+
+
+def _report(exc: Exception) -> int:
+    """Print ``exc`` to stderr; return its exit code from EXIT_CODES."""
+    if isinstance(exc, GraphError):
+        lines = [diag.render() for diag in exc.diagnostics]
+    elif isinstance(exc, DeadlockError):
+        lines = [f"deadlock: {exc.report.summary()}"]
+        lines += [f"  blocked {key} on {', '.join(sorted(unmet))}"
+                  for key, unmet in exc.report.blocked]
+    else:
+        lines = [f"error: {exc}"]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return next(code for error, code in EXIT_CODES if isinstance(exc, error))
 
 
 def _read(path: str) -> str:
@@ -48,12 +79,7 @@ def _read(path: str) -> str:
 
 
 def cmd_validate(args) -> int:
-    try:
-        graph = parse_release_graph(_read(args.graph))
-    except GraphError as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(), file=sys.stderr)
-        return FAIL
+    graph = parse_release_graph(_read(args.graph))
     cycle = graph.cycle_check()
     if cycle is not None:
         witness = " -> ".join(str(k) for k in cycle + cycle[:1])
@@ -66,44 +92,16 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     release_path = Path(args.release)
-    try:
-        release = parse_release(_read(args.release), base_dir=release_path.parent)
-    except (ReleaseError, TreeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    clock = VirtualClock() if args.virtual_clock else WallClock()
-    try:
-        result = boot(
-            release,
-            base_dir=release_path.parent,
-            mode=("sequential" if args.mode == "seq" else "as-specified"),
-            clock=clock,
-            deadlock_timeout_ms=args.deadlock_timeout,
-            allow_cycles=args.allow_cycles,
-            quiescence_timeout_ms=args.quiescence_timeout,
-        )
-    except GraphError as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(), file=sys.stderr)
-        return FAIL
-    except BootRefusedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    except ReleaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except DeadlockError as exc:
-        print(f"deadlock: {exc.report.summary()}", file=sys.stderr)
-        for key, unmet in exc.report.blocked:
-            print(f"  blocked {key} on {', '.join(sorted(unmet))}", file=sys.stderr)
-        return FAIL
-    except (StartupError, QuiescenceTimeout) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-
+    release = parse_release(_read(args.release), base_dir=release_path.parent)
+    result = boot(
+        release,
+        base_dir=release_path.parent,
+        mode=("sequential" if args.mode == "seq" else "as-specified"),
+        clock=VirtualClock() if args.virtual_clock else WallClock(),
+        deadlock_timeout_ms=args.deadlock_timeout,
+        allow_cycles=args.allow_cycles,
+        quiescence_timeout_ms=args.quiescence_timeout,
+    )
     if args.trace:
         result.system.trace.write(args.trace)
     for app_name, duration in result.per_app_ms:
@@ -125,28 +123,19 @@ def _is_release(text: str) -> bool:
 
 
 def cmd_check(args) -> int:
-    try:
-        events = parse_trace(_read(args.trace).splitlines())
-    except TraceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    events = parse_trace(_read(args.trace).splitlines())
     try:
         graph = parse_release_graph(_read(args.graph))
     except GraphError as exc:
-        for diag in exc.diagnostics:
-            print(diag.render(), file=sys.stderr)
-        return USAGE
+        _report(exc)
+        return USAGE  # the graph is an input of the check, not its subject
     tree_text = _read(args.tree)
-    try:
-        if _is_release(tree_text):
-            release = parse_release(tree_text, base_dir=Path(args.tree).parent)
-            forest = [(name, root) for name, root, _ in release.applications]
-            violations = check_trace(events, graph, forest)
-        else:
-            violations = check_trace(events, graph, parse_tree(tree_text))
-    except (TreeError, ReleaseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
+    if _is_release(tree_text):
+        release = parse_release(tree_text, base_dir=Path(args.tree).parent)
+        forest = [(name, root) for name, root, _ in release.applications]
+        violations = check_trace(events, graph, forest)
+    else:
+        violations = check_trace(events, graph, parse_tree(tree_text))
     for violation in violations:
         print(violation.render(), file=sys.stderr)
     if violations:
@@ -158,34 +147,26 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.fork_depth is not None and args.fork_count is not None:
-        print("error: --fork-depth and --fork-count are mutually exclusive",
-              file=sys.stderr)
-        return USAGE
+        raise ValueError("--fork-depth and --fork-count are mutually exclusive")
     if args.append and not args.out:
-        print("error: --append needs --out", file=sys.stderr)
-        return USAGE
+        raise ValueError("--append needs --out")
     if args.fork_depth is not None:
         placement = bench_mod.ForkPlacement.at_depth(args.fork_depth)
     elif args.fork_count is not None:
         placement = bench_mod.ForkPlacement.first_n(args.fork_count)
     else:
         placement = bench_mod.ForkPlacement.none()
-    try:
-        config = bench_mod.BenchConfig(
-            topology=bench_mod.TopologySpec(args.topology, args.branching, args.depth,
-                                            args.seed),
-            delays=bench_mod.DelayModel(args.delay_kind, args.delay_ms),
-            placement=placement,
-            mode=("sequential" if args.mode == "seq" else "concurrent"),
-            repetitions=args.repeat,
-            virtual_clock=args.virtual_clock,
-            deadlock_timeout_ms=args.deadlock_timeout,
-        )
-        report = bench_mod.run_benchmark(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-
+    config = bench_mod.BenchConfig(
+        topology=bench_mod.TopologySpec(args.topology, args.branching, args.depth,
+                                        args.seed),
+        delays=bench_mod.DelayModel(args.delay_kind, args.delay_ms),
+        placement=placement,
+        mode=("sequential" if args.mode == "seq" else "concurrent"),
+        repetitions=args.repeat,
+        virtual_clock=args.virtual_clock,
+        deadlock_timeout_ms=args.deadlock_timeout,
+    )
+    report = bench_mod.run_benchmark(config)
     if args.out:
         bench_mod.emit_csv(report, args.out, append=args.append)
     label = placement.label()
@@ -291,7 +272,10 @@ def main(argv=None) -> int:
     if argv and argv[0] == "bench":
         argv = _expand_bench_config(argv)
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(error for error, _ in EXIT_CODES) as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -20,22 +20,21 @@ class GraphError(TreebootError):
         super().__init__(f"invalid dependency graph: {lines}")
 
 
-class TreeError(TreebootError):
+class ParseError(TreebootError):
+    """An input file failed to parse; ``line`` is where, when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        self.line = line
+        where = f" (line {line})" if line is not None else ""
+        super().__init__(f"{message}{where}")
+
+
+class TreeError(ParseError):
     """A supervision-tree description file failed to parse."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{message}{where}")
 
-
-class ReleaseError(TreebootError):
+class ReleaseError(ParseError):
     """A release file failed to parse."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"{message}{where}")
 
 
 class BootRefusedError(TreebootError):

@@ -817,7 +817,8 @@ def check_trace(events: list[TraceEvent], graph: DependencyGraph, tree) -> list[
 #
 # keys: module= args=([tok] or *), restart=permanent|temporary,
 # init=none|sleep:<ms>|busy:<ms>|fail, mode=sequential|concurrent,
-# restarts=<max>/<seconds> (supervisors only).  A number is what float()
+# restarts=<max>/<seconds> (supervisors only).  A root takes no restart=
+# and no mode=: nothing restarts or forks it.  A number is what float()
 # or int() reads from ASCII text without '_'.
 
 
@@ -883,6 +884,8 @@ def parse_tree(text: str) -> ChildSpec:
             elif key == "args":
                 args = None if value == "*" else value
             elif key == "restart":
+                if depth == 0:
+                    raise TreeError("restart= is for children only", lineno)
                 restart = value
             elif key == "init":
                 init = inits.get(value)
@@ -891,6 +894,8 @@ def parse_tree(text: str) -> ChildSpec:
             elif key == "mode":
                 if value not in ("sequential", "concurrent"):
                     raise TreeError(f"bad mode {value!r}", lineno)
+                if depth == 0:
+                    raise TreeError("mode= is for children only", lineno)
                 start_mode = value
             elif key == "restarts":
                 if kind != "supervisor":

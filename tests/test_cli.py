@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from treeboot.cli import main
+from treeboot.cli import EXIT_CODES, main
+from treeboot.errors import ClockStalledError, TreebootError
 
 from conftest import TWO_APP_GRAPH, CYCLE_GRAPH, chain_graph_text
 
@@ -410,3 +411,39 @@ def test_bench_fork_count_exit_0(capsys):
                  "--delay-ms", "1", "--repeat", "1"]) == 0
     assert "placement=first:2 tagged=2 nodes=1093 wrappers=2" in capsys.readouterr().out
 
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/run.trace", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+])
+def test_run_trace_that_cannot_be_written_exit_2(workdir, capsys, target, reason):
+    path = workdir / target
+    assert main(["run", str(workdir / "demo.rel"), "--virtual-clock",
+                 "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {reason}: '{path}'\n"
+
+
+def test_bench_out_into_a_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "b.csv"
+    assert main(["bench", "--topology", "wide", "--virtual-clock", "--delay-ms", "1",
+                 "--repeat", "1", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+    assert captured.out == ""
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_package_error_has_an_exit_code():
+    # a package error missing from the table would reach a user as a traceback
+    covered = [error for error, _ in EXIT_CODES]
+    for error in _subclasses(TreebootError):
+        reported = any(issubclass(error, entry) for entry in covered)
+        assert reported == (error is not ClockStalledError), error.__name__
+    # each entry is reachable: none is a subclass of an entry before it
+    for i, entry in enumerate(covered):
+        assert not issubclass(entry, tuple(covered[:i])), entry.__name__

@@ -347,6 +347,64 @@ def test_startup_failure_consumes_budget_then_escalates():
     assert first_event(store, "root", "terminate") is not None
 
 
+def test_crash_of_a_root_terminates_its_tree_and_fails_the_run():
+    rt, store, _ = fresh()
+    root = rt.start_supervisor(SupervisorFlags(), (
+        ChildSpec(id="a", module="a", init=InitModel.sleep(1)),
+        ChildSpec(id="b", module="b", init=InitModel.sleep(1), start_mode="concurrent"),
+    ))
+    rt.await_quiescence()
+    assert rt.inject_crash(root).hops == ()
+    assert {node.state for node in root.walk()} == {"terminated"}
+    assert [(e.kind, e.node, e.get("reason")) for e in store.trace.events[-4:]] == [
+        ("crash", "root", "injected"),
+        ("terminate", "root/a", "parent-terminated"),
+        ("terminate", "root/b", "parent-terminated"),
+        ("terminate", "root/b#wrap", "parent-terminated"),
+    ]
+    with pytest.raises(StartupError, match="^root root crashed$") as exc:
+        rt.await_quiescence()
+    assert exc.value.node_path == "root"
+    assert check_trace(store.trace.events, DependencyGraph(), root.spec) == []
+
+
+@pytest.mark.parametrize("mode", ["sequential", "concurrent"])
+def test_restart_that_fails_after_a_crash_is_retried_within_the_budget(mode):
+    runs = []
+
+    def init(args):
+        runs.append(args)
+        if len(runs) == 2:
+            raise RuntimeError("the first restart fails")
+
+    rt, store, _ = fresh()
+    root = rt.start_supervisor(SupervisorFlags(3, 60.0), (
+        ChildSpec(id="c", module="c", init=InitModel.call(init), start_mode=mode),
+    ))
+    rt.await_quiescence()
+    old_wrapper = root.find("root/c#wrap")
+    outcome = rt.inject_crash(root.find("root/c"))
+    rt.await_quiescence()
+    wrapped = mode == "concurrent"
+    assert outcome.hops == ((("root/c#wrap", "escalated"),) if wrapped else ()) + (
+        ("root", "restarted"),)
+    assert len(runs) == 3 and len(root.restart_times) == 2
+    assert root.find("root/c").state == "running"
+    terminates = [(e.node, e.get("reason")) for e in store.trace.events
+                  if e.kind == "terminate"]
+    if wrapped:
+        # the crashed slot's wrapper, then the one whose start failed; a
+        # third wrapper holds the slot
+        assert terminates == [("root/c#wrap", "restart-budget-exhausted"),
+                              ("root/c#wrap", "child-start-failure")]
+        wrapper = root.find("root/c#wrap")
+        assert wrapper is not old_wrapper and wrapper.state == "running"
+        assert root.find("root/c").parent is wrapper
+    else:
+        assert terminates == []
+    assert check_trace(store.trace.events, DependencyGraph(), root.spec) == []
+
+
 # -- await_quiescence -----------------------------------------------------------------
 
 
@@ -690,11 +748,15 @@ def test_tree_round_trip():
     ("sup a init=sleep:nan\n", "bad init duration"),
     ("sup a init=sleep:-1\n", "bad init duration"),
     ("sup a init=busy:inf\n", "bad init duration"),
+    # nothing restarts or forks a root, so nothing would read these
+    ("sup a restart=temporary\n", "restart= is for children only (line 1)"),
+    ("sup a mode=concurrent\n", "mode= is for children only (line 1)"),
 ])
 def test_parse_tree_errors(bad, fragment):
     with pytest.raises(TreeError) as exc:
         parse_tree(bad)
     assert fragment in str(exc.value)
+
 
 
 @pytest.mark.parametrize("token, fragment", [
