@@ -34,6 +34,7 @@ __all__ = [
     "parse_release",
     "boot",
     "boot_system",
+    "read_input",
 ]
 
 
@@ -68,10 +69,18 @@ class BootResult:
     report: StartupReport
 
 
-def _read_utf8(path: Path, line: int | None = None) -> str:
-    """A file a release names, as text; ReleaseError when it is not UTF-8."""
+def read_input(path: str | Path, what: str = "file", line: int | None = None) -> str:
+    """An input file as text.
+
+    ReleaseError ``<what> not found`` when ``path`` does not exist, and
+    ``not UTF-8 text`` when it does not decode; ``line`` is the release
+    line that names it, if any.  Any other OSError, such as reading a
+    directory, propagates.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise ReleaseError(f"{what} not found: {path}", line) from None
     except UnicodeDecodeError as exc:
         raise ReleaseError(f"{path} is not UTF-8 text: byte {exc.start}", line) from None
 
@@ -102,10 +111,7 @@ def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
             if app_name in seen_apps:
                 raise ReleaseError(f"duplicate application name {app_name!r}", lineno)
             seen_apps.add(app_name)
-            full = base / tree_path
-            if not full.is_file():
-                raise ReleaseError(f"tree file not found: {full}", lineno)
-            root = parse_tree(_read_utf8(full, lineno))
+            root = parse_tree(read_input(base / tree_path, "tree file", lineno))
             apps.append((app_name, root, tree_path))
         else:
             raise ReleaseError(f"expected 'release', 'graph' or 'app' line, got {line!r}",
@@ -171,25 +177,9 @@ def boot_system(
     return BootResult(system, tuple(per_app), report)
 
 
-def boot(
-    release: Release,
-    *,
-    base_dir: str | Path = ".",
-    mode: str = "as-specified",
-    clock: Clock | None = None,
-    deadlock_timeout_ms: float = DEFAULT_DEADLOCK_TIMEOUT_MS,
-    trace: TraceSink | None = None,
-    allow_cycles: bool = False,
-    quiescence_timeout_ms: float | None = None,
-) -> BootResult:
-    """Boot a parsed release: load + validate its graph, then boot_system."""
-    graph_file = Path(base_dir) / release.graph_path
-    if not graph_file.is_file():
-        raise ReleaseError(f"graph file not found: {graph_file}")
-    graph = parse_release_graph(_read_utf8(graph_file))
+def boot(release: Release, *, base_dir: str | Path = ".", **options) -> BootResult:
+    """Boot a parsed release: load + validate its graph, then boot_system
+    with ``options``."""
+    graph = parse_release_graph(read_input(Path(base_dir) / release.graph_path, "graph file"))
     apps = [(app_name, root) for app_name, root, _ in release.applications]
-    return boot_system(
-        graph, apps, mode=mode, clock=clock,
-        deadlock_timeout_ms=deadlock_timeout_ms, trace=trace,
-        allow_cycles=allow_cycles, quiescence_timeout_ms=quiescence_timeout_ms,
-    )
+    return boot_system(graph, apps, **options)

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .boot import boot, parse_release
+from .boot import boot, parse_release, read_input
 from .clock import VirtualClock, WallClock
 from .condsrv import DEFAULT_DEADLOCK_TIMEOUT_MS
 from .depgraph import parse_release_graph
@@ -27,6 +27,7 @@ from .errors import (
     GraphError,
     ParseError,
     QuiescenceTimeout,
+    ReleaseError,
     StartupError,
     TraceFormatError,
 )
@@ -67,15 +68,12 @@ def _report(exc: Exception) -> int:
 
 
 def _read(path: str) -> str:
-    file = Path(path)
-    if not file.is_file():
-        print(f"error: file not found: {path}", file=sys.stderr)
-        raise SystemExit(USAGE)
+    """An input named on the command line; a missing or non-UTF-8 file
+    raises SystemExit(2), as argparse does for a bad flag."""
     try:
-        return file.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        print(f"error: {path} is not UTF-8 text: byte {exc.start}", file=sys.stderr)
-        raise SystemExit(USAGE) from None
+        return read_input(path)
+    except ReleaseError as exc:
+        raise SystemExit(_report(exc)) from None
 
 
 def cmd_validate(args) -> int:
@@ -269,10 +267,10 @@ def _expand_bench_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "bench":
-        argv = _expand_bench_config(argv)
-    args = build_parser().parse_args(argv)
     try:
+        if argv and argv[0] == "bench":
+            argv = _expand_bench_config(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except tuple(error for error, _ in EXIT_CODES) as exc:
         return _report(exc)

@@ -18,6 +18,7 @@ The clock never evaluates caller code to decide who may run.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import threading
@@ -28,6 +29,8 @@ from typing import Callable
 from .errors import ClockStalledError
 
 __all__ = ["Clock", "WallClock", "VirtualClock"]
+
+_BUSY_CHUNK = b"\x00" * (128 * 1024)
 
 _PARKED = "parked"
 _WOKEN = "woken"
@@ -52,11 +55,11 @@ class Clock:
 
     ``cond`` is the clock's coordination lock itself, a ``threading.RLock``
     entered as ``with clock.cond:``; no thread waits on it or notifies it.
-    Locking protocol: ``now`` and ``sleep`` are called without holding
-    ``cond``; ``wait`` and ``wake`` must be called while holding it.  A
-    waiter from :meth:`waiter` belongs to the one thread that waits on it;
-    any thread may wake it, and a wake is never lost: a waiter woken before
-    it parks returns at once.
+    Locking protocol: ``now``, ``sleep`` and ``busy`` are called without
+    holding ``cond``; ``wait`` and ``wake`` must be called while holding
+    it.  A waiter from :meth:`waiter` belongs to the one thread that waits
+    on it; any thread may wake it, and a wake is never lost: a waiter woken
+    before it parks returns at once.
     """
 
     cond: threading.RLock
@@ -66,6 +69,19 @@ class Clock:
 
     def sleep(self, duration_ms: float) -> None:
         raise NotImplementedError
+
+    def busy(self, duration_ms: float) -> None:
+        """Burn ``duration_ms`` of this thread's CPU time.
+
+        Measured with the per-thread CPU clock, so contention stretches the
+        wall time but never shrinks the work.  Hashing large buffers drops
+        the interpreter lock, so concurrent lanes genuinely occupy multiple
+        cores.
+        """
+        digest = hashlib.sha256()
+        deadline = time.thread_time() + duration_ms / 1000.0
+        while time.thread_time() < deadline:
+            digest.update(_BUSY_CHUNK)
 
     def waiter(self) -> _Waiter:
         """A fresh waiter for :meth:`wait` and :meth:`wake`."""
@@ -171,6 +187,10 @@ class VirtualClock(Clock):
                     self._now = deadline
                     return
             self._park(_Waiter(self._lock), deadline)
+
+    def busy(self, duration_ms: float) -> None:
+        """A simulated burn: the time passes as in :meth:`sleep`."""
+        self.sleep(duration_ms)
 
     def wait(self, waiter, deadline=None) -> bool:
         return self._park(waiter, deadline)

@@ -348,15 +348,17 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
         line = None if lines is None else lines[section][idx]
         diags.append(Diagnostic("error", code, message, line))
 
-    check_keys = lines is None
+    def check_key(key, section, idx):
+        if not _is_ident(key.module):
+            err("malformed-key", f"bad module name {key.module!r}", section, idx)
+        if key.args is not None and (not key.args or _has_whitespace(key.args)):
+            err("malformed-key", f"bad argument token {key.args!r}", section, idx)
+
     declared: set[str] = set()
     seen_keys: set[tuple[str, str | None]] = set()
     for idx, (key, name) in enumerate(conditions):
-        if check_keys:
-            if not _is_ident(key.module):
-                err("malformed-key", f"bad module name {key.module!r}", 0, idx)
-            if key.args is not None and (not key.args or _has_whitespace(key.args)):
-                err("malformed-key", f"bad argument token {key.args!r}", 0, idx)
+        if lines is None:
+            check_key(key, 0, idx)
         if not _is_ident(name):
             err("malformed-key", f"bad condition name {name!r}", 0, idx)
         if name in declared:
@@ -391,11 +393,8 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
     known = declared | group_names
     precond_keys: set[tuple[str, str | None]] = set()
     for idx, (key, names) in enumerate(preconditions):
-        if check_keys:
-            if not _is_ident(key.module):
-                err("malformed-key", f"bad module name {key.module!r}", 2, idx)
-            if key.args is not None and (not key.args or _has_whitespace(key.args)):
-                err("malformed-key", f"bad argument token {key.args!r}", 2, idx)
+        if lines is None:
+            check_key(key, 2, idx)
         pair = (key.module, key.args)
         if pair in precond_keys:
             err("duplicate-module-key", f"precondition key {key} declared twice", 2, idx)

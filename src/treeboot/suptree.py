@@ -32,17 +32,14 @@ escalates.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .condsrv import ConditionStore
-from .clock import VirtualClock
 from .depgraph import DependencyGraph
 from .errors import DeadlockError, QuiescenceTimeout, StartupError, TreeError
 from .tracing import TraceEvent, _has_whitespace
@@ -285,22 +282,6 @@ class CrashOutcome:
         return self.hops[-1][1] if self.hops else "noop"
 
 
-_BUSY_CHUNK = b"\x00" * (128 * 1024)
-
-
-def busy_spin_ms(duration_ms: float) -> None:
-    """Burn ``duration_ms`` of this thread's CPU time.
-
-    Measured with the per-thread CPU clock, so contention stretches the
-    wall time but never shrinks the work.  Hashing large buffers drops the
-    interpreter lock, so concurrent lanes genuinely occupy multiple cores.
-    """
-    digest = hashlib.sha256()
-    deadline = time.thread_time() + duration_ms / 1000.0
-    while time.thread_time() < deadline:
-        digest.update(_BUSY_CHUNK)
-
-
 class Runtime:
     """Executes supervision trees against a condition store.
 
@@ -462,15 +443,10 @@ class Runtime:
         return node, True
 
     def _run_init(self, init: InitModel, args: str | None) -> None:
-        if init.kind == "none":
-            return
         if init.kind == "sleep":
             self.clock.sleep(init.duration_ms)
         elif init.kind == "busy":
-            if isinstance(self.clock, VirtualClock):
-                self.clock.sleep(init.duration_ms)  # simulated burn
-            else:
-                busy_spin_ms(init.duration_ms)
+            self.clock.busy(init.duration_ms)
         elif init.kind == "fail":
             raise RuntimeError("simulated init failure")
         elif init.kind == "call":
@@ -508,14 +484,11 @@ class Runtime:
                     wrapper.state = "terminated"
                     self._emit("terminate", wrapper_path, reason="child-start-failure")
                 self._handle_child_exit(parent, wrapper, [], start_failed=True)
-            except DeadlockError as exc:
+            except BaseException as exc:  # a deadlock, or defensive: surface, never hang
                 with self.clock.cond:
-                    if wrapper.state != "terminated":
+                    if isinstance(exc, DeadlockError) and wrapper.state != "terminated":
                         wrapper.state = "terminated"
                         self._emit("terminate", wrapper_path, reason="deadlock")
-                    self._fail(exc)
-            except BaseException as exc:  # defensive: surface, never hang
-                with self.clock.cond:
                     self._fail(exc)
             finally:
                 with self.clock.cond:

@@ -78,6 +78,17 @@ def test_parse_release_unknown_tree_file(release_dir):
         parse_release("graph sys.rgraph\napp a nope.tree\n", base_dir=release_dir)
 
 
+def test_parse_release_duplicate_graph_line():
+    with pytest.raises(ReleaseError, match=r"^duplicate graph line \(line 3\)$"):
+        parse_release("release r\ngraph a.rgraph\ngraph b.rgraph\n")
+
+
+def test_parse_release_tree_path_that_is_a_directory(release_dir):
+    (release_dir / "treedir").mkdir()
+    with pytest.raises(IsADirectoryError):
+        parse_release("graph sys.rgraph\napp a treedir\n", base_dir=release_dir)
+
+
 # -- booting -------------------------------------------------------------------
 
 
@@ -152,6 +163,20 @@ def test_boot_failure_aborts_remaining_apps():
     with pytest.raises(StartupError):
         boot_system(graph, [("first", bad), ("second", good)],
                     clock=VirtualClock())
+
+
+def test_boot_system_rejects_a_bad_mode_before_any_event():
+    trace = TraceSink()
+    with pytest.raises(ValueError, match=r"^bad mode 'parallel'$"):
+        boot_system(parse_release_graph(TWO_APP_GRAPH), [("a", ChildSpec("w", "m"))],
+                    mode="parallel", clock=VirtualClock(), trace=trace)
+    assert trace.events == []
+
+
+def test_boot_passes_unknown_options_to_boot_system(release_dir):
+    release = parse_release((release_dir / "demo.rel").read_text(), base_dir=release_dir)
+    with pytest.raises(TypeError, match="speed"):
+        boot(release, base_dir=release_dir, clock=VirtualClock(), speed=2)
 
 
 def test_boot_system_rejects_duplicate_application_names():

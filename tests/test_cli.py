@@ -432,6 +432,26 @@ def test_bench_out_into_a_missing_directory_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_inputs_that_are_directories_exit_2_with_the_os_error(workdir, capsys):
+    (workdir / "treedir").mkdir()
+    (workdir / "dir.rel").write_text("release r\ngraph sys.rgraph\napp a treedir\n")
+    for argv, path in [
+        (["validate", str(workdir)], workdir),
+        (["run", str(workdir / "dir.rel"), "--virtual-clock"], workdir / "treedir"),
+        (["bench", "--config", str(workdir), "--topology", "wide"], workdir),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{path}'\n"
+
+
+def test_missing_input_message(workdir, capsys):
+    missing = str(workdir / "nope.cfg")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--config", missing, "--topology", "wide"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: file not found: {missing}\n"
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -125,6 +125,22 @@ def test_attached_is_reentrant():
     assert clock.now() == 10.0
 
 
+def test_virtual_busy_passes_virtual_time_only():
+    clock = VirtualClock()
+    cpu = time.thread_time()
+    with clock.attached():
+        clock.busy(30)
+    assert clock.now() == 30.0
+    assert time.thread_time() - cpu < 0.02
+
+
+def test_wall_busy_burns_this_threads_cpu():
+    clock = WallClock()
+    cpu = time.thread_time()
+    clock.busy(20)
+    assert time.thread_time() - cpu >= 0.02
+
+
 def test_wall_clock_wait_timeout_and_release():
     clock = WallClock()
     woken = clock.waiter()

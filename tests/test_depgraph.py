@@ -132,6 +132,38 @@ def test_validate_unknown_precondition_name():
     assert any(d.code == "unknown-name" for d in graph.validate())
 
 
+def test_validate_checks_each_key_of_a_graph_built_in_code():
+    graph = DependencyGraph(
+        conditions=((ModuleKey("9x"), "c1"), (ModuleKey("m", "a b"), "c2"),
+                    (ModuleKey("n", ""), "c3")),
+        preconditions=((ModuleKey("9y"), ("c1",)), (ModuleKey("p", "x y"), ("c2",))),
+    )
+    assert [d.render() for d in graph.validate()] == [
+        "error[malformed-key] bad module name '9x'",
+        "error[malformed-key] bad argument token 'a b'",
+        "error[malformed-key] bad argument token ''",
+        "error[malformed-key] bad module name '9y'",
+        "error[malformed-key] bad argument token 'x y'",
+    ]
+
+
+def test_validate_nested_group():
+    # A group that names a group reads as an unknown condition; the
+    # "may not contain group" message is reached only when the member
+    # group's name is also a condition.
+    groups = (ConditionGroup("g1", ("c1",)), ConditionGroup("g2", ("g1",)))
+    graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"),), groups=groups)
+    assert [d.render() for d in graph.validate()] == [
+        "error[unknown-name] group 'g2' references unknown condition 'g1'",
+    ]
+    graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"), (ModuleKey("n"), "g1")),
+                            groups=groups)
+    assert [d.render() for d in graph.validate()] == [
+        "error[name-collision] 'g1' is both a condition and a group",
+        "error[unknown-name] group 'g2' may not contain group 'g1'",
+    ]
+
+
 def test_wildcard_and_exact_conditions_for_same_module_allowed():
     graph = DependencyGraph(conditions=(
         (ModuleKey("m"), "c_any"),

@@ -18,9 +18,11 @@ from treeboot import (
     InitModel,
     Runtime,
     StartupError,
+    StartupReport,
     SupervisorFlags,
     TreeError,
     VirtualClock,
+    await_quiescence,
     boot_system,
     check_trace,
     critical_path,
@@ -29,6 +31,7 @@ from treeboot import (
     place_forks,
     run_worker_lifecycle,
     serialize_tree,
+    start_supervisor,
 )
 
 from gensys import random_system
@@ -406,6 +409,28 @@ def test_restart_that_fails_after_a_crash_is_retried_within_the_budget(mode):
 
 
 # -- await_quiescence -----------------------------------------------------------------
+
+
+def test_module_level_start_supervisor():
+    store = ConditionStore(DependencyGraph(), clock=VirtualClock())
+    sup = start_supervisor(SupervisorFlags(), [ChildSpec("w", "m", init=InitModel.sleep(2))],
+                           store, path="app")
+    assert sup.state == "running"
+    assert [child.path for child in sup.children] == ["app/w"]
+    assert await_quiescence(sup) == StartupReport(duration_ms=2.0, node_count=2,
+                                                  wrapper_count=0)
+
+
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: ChildSpec("w", "m", kind="process"), "bad child kind 'process'"),
+    (lambda: ChildSpec("w", "m", start_mode="parallel"), "bad start_mode 'parallel'"),
+    (lambda: ChildSpec("w", "m", children=(ChildSpec("x", "m"),)),
+     "worker 'w' cannot have children"),
+    (lambda: SupervisorFlags(-1, 5.0), "max_restarts must be >= 0"),
+])
+def test_constructors_reject_bad_fields(make, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        make()
 
 
 def test_single_worker_report():
