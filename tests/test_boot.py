@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from treeboot import (
     BootRefusedError,
     ChildSpec,
+    DeadlockError,
     InitModel,
     ReleaseError,
     StartupError,
@@ -17,6 +20,7 @@ from treeboot import (
     boot_system,
     check_trace,
     parse_release,
+    parse_tree,
 )
 
 from conftest import TWO_APP_GRAPH, CYCLE_GRAPH
@@ -81,12 +85,6 @@ def test_parse_release_unknown_tree_file(release_dir):
 def test_parse_release_duplicate_graph_line():
     with pytest.raises(ReleaseError, match=r"^duplicate graph line \(line 3\)$"):
         parse_release("release r\ngraph a.rgraph\ngraph b.rgraph\n")
-
-
-def test_parse_release_tree_path_that_is_a_directory(release_dir):
-    (release_dir / "treedir").mkdir()
-    with pytest.raises(IsADirectoryError):
-        parse_release("graph sys.rgraph\napp a treedir\n", base_dir=release_dir)
 
 
 # -- booting -------------------------------------------------------------------
@@ -177,6 +175,25 @@ def test_boot_passes_unknown_options_to_boot_system(release_dir):
     release = parse_release((release_dir / "demo.rel").read_text(), base_dir=release_dir)
     with pytest.raises(TypeError, match="speed"):
         boot(release, base_dir=release_dir, clock=VirtualClock(), speed=2)
+
+
+def test_deadlocked_concurrent_start_terminates_its_wrapper():
+    tree = parse_tree("sup root\n"
+                      "  sup lane_a mode=concurrent\n"
+                      "    worker a module=worker_a args=[x]\n"
+                      "  sup lane_b\n"
+                      "    worker b module=worker_b args=[y]\n")
+    trace = TraceSink()
+    before = set(threading.enumerate())
+    with pytest.raises(DeadlockError):
+        boot_system(parse_release_graph(CYCLE_GRAPH), [("demo", tree)], clock=VirtualClock(),
+                    allow_cycles=True, deadlock_timeout_ms=500, trace=trace)
+    # boot_system raises in the main thread; the starter may still be ending
+    for thread in set(threading.enumerate()) - before:
+        thread.join(5)
+        assert not thread.is_alive()
+    assert [(e.ts, e.node, e.detail) for e in trace.events if e.kind == "terminate"] == [
+        (500.0, "demo/root/lane_a#wrap", (("reason", "deadlock"),))]
 
 
 def test_boot_system_rejects_duplicate_application_names():

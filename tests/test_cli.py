@@ -444,7 +444,7 @@ def test_inputs_that_are_directories_exit_2_with_the_os_error(workdir, capsys):
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{path}'\n"
 
 
-def test_missing_input_message(workdir, capsys):
+def test_bench_config_missing_file_exit_2_with_its_message(workdir, capsys):
     missing = str(workdir / "nope.cfg")
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--config", missing, "--topology", "wide"])

@@ -58,10 +58,10 @@ def run_traced(pytest_args: list[str]) -> tuple[int, set[tuple[str, int]]]:
 
     def trace_calls(frame, event, arg):
         filename = frame.f_code.co_filename
-        path = real.get(filename, "")
-        if path == "":
+        if filename not in real:
             resolved = os.path.realpath(filename)
-            path = real[filename] = resolved if resolved.startswith(prefix) else None
+            real[filename] = resolved if resolved.startswith(prefix) else None
+        path = real[filename]
         if path is None:
             return None
         executed.add((path, frame.f_lineno))  # the def line: the function was called
