@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -160,6 +161,17 @@ class VirtualClock(Clock):
     the run has stalled.  A sleep by the only active participant that ends
     strictly before every pending deadline advances the clock without
     parking.
+
+    Every thread that :meth:`spawn` starts runs on one CPU, the lowest one
+    the spawning thread may use; a nested spawn inherits that one CPU, so
+    all of a clock's starters share it.  No participant needs a second
+    core: time advances only when all of them are parked, and ``busy`` is
+    simulated.  Keeping them together makes each park and wake a switch on
+    one CPU rather than a wake-up sent to another.  The caller's own thread
+    is never pinned.  The limit: user ``call`` code that runs in a starter,
+    and any thread it starts, stays on that CPU too.  Pinning is a cost
+    hint only: where ``os.sched_setaffinity`` is missing or refuses, the
+    thread runs unpinned.
     """
 
     def __init__(self, start_ms: float = 0.0):
@@ -205,8 +217,15 @@ class VirtualClock(Clock):
         # never advance across the gap between spawn and first activity.
         with self.cond:
             self._active += 1
+        # The lowest CPU this thread may use; a nested spawn gets the same one.
+        cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
 
         def run():
+            if cpu is not None:
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                except OSError:  # a cost hint: a refusal leaves the thread unpinned
+                    pass
             # A thread is one unit of activity; pre-set the attachment
             # depth so a nested attached() block cannot double-count it.
             self._local.depth = 1

@@ -369,26 +369,29 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
             err("duplicate-module-key", f"module key {key} declared twice", 0, idx)
         seen_keys.add(pair)
 
-    group_names: set[str] = set()
+    # Every group name first, so a group that names a later group is
+    # reported as nesting, not as an unknown condition.
+    group_names = {group.name for group in groups}
+    seen_groups: set[str] = set()
     for idx, group in enumerate(groups):
         if not _is_ident(group.name):
             err("malformed-key", f"bad group name {group.name!r}", 1, idx)
-        if group.name in group_names:
+        if group.name in seen_groups:
             err("duplicate-group", f"group {group.name!r} declared twice", 1, idx)
-        group_names.add(group.name)
+        seen_groups.add(group.name)
         if group.name in declared:
             err("name-collision",
                 f"{group.name!r} is both a condition and a group", 1, idx)
         if not group.members:
             err("empty-group", f"group {group.name!r} has no members", 1, idx)
         for member in group.members:
-            if member not in declared:
-                err("unknown-name",
-                    f"group {group.name!r} references unknown condition {member!r}", 1, idx)
-            elif member in group_names and member != group.name:
+            if member in group_names and member != group.name:
                 # flat groups only; a member must be a condition
                 err("unknown-name",
                     f"group {group.name!r} may not contain group {member!r}", 1, idx)
+            elif member not in declared:
+                err("unknown-name",
+                    f"group {group.name!r} references unknown condition {member!r}", 1, idx)
 
     known = declared | group_names
     precond_keys: set[tuple[str, str | None]] = set()

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
 import pytest
 
-from treeboot import ClockStalledError, VirtualClock, WallClock
+from treeboot import (
+    ChildSpec,
+    ClockStalledError,
+    DependencyGraph,
+    InitModel,
+    VirtualClock,
+    WallClock,
+    boot_system,
+    check_trace,
+    critical_path,
+)
+
+from gensys import random_system
 
 
 def test_single_thread_sleep_advances():
@@ -254,3 +267,60 @@ def test_sleep_against_other_sleeper(sleep_ms, expected):
     assert not t.is_alive()
     assert (seen, now) == expected
     assert woke == [50.0]
+
+
+# -- one CPU for a virtual clock's starters -------------------------------
+# No virtual-clock participant needs a second core, so the threads that
+# VirtualClock.spawn starts share one CPU; WallClock threads keep the
+# caller's set, and the caller itself is never pinned.
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                                    reason="no CPU affinity on this platform")
+
+
+def _cpus_of_a_concurrent_init(clock):
+    """The CPU set that a concurrent child's ``call`` init runs with."""
+    seen = []
+    root = ChildSpec(id="root", module="root", kind="supervisor", children=(
+        ChildSpec(id="c", module="c", start_mode="concurrent",
+                  init=InitModel.call(lambda _: seen.append(os.sched_getaffinity(0)))),
+        ChildSpec(id="s", module="s", init=InitModel.sleep(1.0)),
+    ))
+    boot_system(DependencyGraph(), [("app", root)], clock=clock)
+    assert len(seen) == 1
+    return seen[0]
+
+
+@needs_affinity
+def test_virtual_starter_runs_on_one_cpu_and_the_caller_is_not_pinned():
+    before = os.sched_getaffinity(0)
+    cpus = _cpus_of_a_concurrent_init(VirtualClock())
+    assert len(cpus) == 1 and cpus <= before
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+def test_wall_starter_keeps_the_callers_cpus():
+    assert _cpus_of_a_concurrent_init(WallClock()) == os.sched_getaffinity(0)
+
+
+@needs_affinity
+@pytest.mark.parametrize("platform", ["refuses", "missing"])
+def test_boot_is_correct_when_threads_cannot_be_pinned(monkeypatch, platform):
+    calls = []
+    if platform == "refuses":
+        def refuse(pid, cpus):
+            calls.append(cpus)
+            raise OSError("sched_setaffinity refused")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    # The starters run unpinned, with the caller's set.
+    assert _cpus_of_a_concurrent_init(VirtualClock()) == os.sched_getaffinity(0)
+    system = random_system(11)
+    tagged = system.tagged_root(all_concurrent=True)
+    result = boot_system(system.graph, [("sys", tagged)], clock=VirtualClock(),
+                         deadlock_timeout_ms=60_000)
+    assert result.report.duration_ms == critical_path(tagged, system.graph)
+    assert check_trace(result.system.trace.events, system.graph, [("sys", tagged)]) == []
+    assert bool(calls) == (platform == "refuses")

@@ -148,14 +148,14 @@ def test_validate_checks_each_key_of_a_graph_built_in_code():
 
 
 def test_validate_nested_group():
-    # A group that names a group reads as an unknown condition; the
-    # "may not contain group" message is reached only when the member
-    # group's name is also a condition.
+    # A group that names a group is nesting, whichever is declared first,
+    # and also when the member group's name is a condition too.
     groups = (ConditionGroup("g1", ("c1",)), ConditionGroup("g2", ("g1",)))
-    graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"),), groups=groups)
-    assert [d.render() for d in graph.validate()] == [
-        "error[unknown-name] group 'g2' references unknown condition 'g1'",
-    ]
+    for order in (groups, groups[::-1]):
+        graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"),), groups=order)
+        assert [d.render() for d in graph.validate()] == [
+            "error[unknown-name] group 'g2' may not contain group 'g1'",
+        ]
     graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"), (ModuleKey("n"), "g1")),
                             groups=groups)
     assert [d.render() for d in graph.validate()] == [
@@ -485,6 +485,21 @@ def test_conditions_set_by_equals_a_scan_of_the_entries(graph):
                 graph, module, args)
     assert graph.conditions_set_by("both", "[1]") == {"b1", "b_any", "b_any2"}
     assert graph.conditions_set_by("both") == {"b_any", "b_any2"}
+
+
+@given(graphs())
+@settings(max_examples=60)
+def test_setter_of_equals_a_scan_of_the_entries(graph):
+    # exact keys of one module around its wildcard key
+    both = ((ModuleKey("both", "[1]"), "b1"), (ModuleKey("both"), "b_any"),
+            (ModuleKey("both", "[2]"), "b2"))
+    graph = DependencyGraph(graph.conditions + both, graph.groups, graph.preconditions)
+    for name in sorted(graph.condition_names | {g.name for g in graph.groups} | {"absent"}):
+        scanned = [key for key, declared in graph.conditions if declared == name]
+        assert graph.setter_of(name) == (scanned[0] if scanned else None)
+    assert graph.setter_of("b1") == ModuleKey("both", "[1]")
+    assert graph.setter_of("b_any") == ModuleKey("both")
+    assert graph.setter_of("absent") is None
 
 
 def independent_wait_graph(graph):
