@@ -194,7 +194,7 @@ class VirtualClock(Clock):
                 # advance straight to the earliest timer.  When that is ours
                 # alone, advance without parking.  A tie takes the slow path,
                 # which wakes every waiter due at that instant in order.
-                earliest = self._earliest_timer()
+                earliest = self._earliest_timer() if self._timers else None
                 if earliest is None or deadline < earliest:
                     self._now = deadline
                     return

@@ -21,7 +21,9 @@ and kept on the graph (:meth:`DependencyGraph.start_plan`), so every store
 over one graph, the supervision runtime, the analytic model and the trace
 checker read the same plan.  A start that needs nothing reads no truth
 value and takes no lock; a key that sets nothing returns from
-``set_condition`` before taking the lock.
+``set_condition`` before taking the lock.  The supervision runtime, which
+already holds the plan, calls neither for such a key: it traces a start
+that needs nothing through :meth:`ConditionStore.emit_no_wait`.
 """
 
 from __future__ import annotations
@@ -74,18 +76,29 @@ class DeadlockReport:
 
 
 _NO_CONDITIONS = prepare_detail(conditions="")
-_first_no_wait = threading.Lock()
+_first_use = threading.Lock()
 
 
 def _no_wait(plan: StartPlan) -> tuple:
     """The plan's ``wait_begin`` detail and ``WaitReport`` of a start that
     does not wait, made on the first such start of the key from any store
     and published in one assignment."""
-    with _first_no_wait:
+    with _first_use:
         if plan.no_wait is None:
             plan.no_wait = (plan.detail + _NO_CONDITIONS,
                             WaitReport(plan.key, 0.0, frozenset()))
     return plan.no_wait
+
+
+def _set_details(plan: StartPlan) -> tuple:
+    """The plan's ``condition_set`` details, one per name in ``sets``: the
+    condition, then the plan's checked ``module``/``args`` detail.  Made on
+    the key's first flip from any store and published in one assignment."""
+    with _first_use:
+        if plan.set_details is None:
+            plan.set_details = tuple(prepare_detail(condition=name) + plan.detail
+                                     for name in plan.sets)
+    return plan.set_details
 
 
 class _Waiter:
@@ -152,18 +165,21 @@ class ConditionStore:
         Returns the set of conditions that transitioned false -> true.
         Idempotent; unknown modules are a no-op by design.
         """
-        sets = self.graph.start_plan(module, args).sets
-        if not sets:
+        plan = self.graph.start_plan(module, args)
+        if not plan.sets:
             return set()
+        details = plan.set_details or _set_details(plan)
         with self.clock.cond:
             now = self.clock.now()
-            names = [name for name in sets if not self._truth[name]]
+            truth, emit = self._truth, self.trace.emit
+            names = []
+            for name, detail in zip(plan.sets, details):
+                if not truth[name]:
+                    truth[name] = True
+                    emit(now, "condition_set", node, detail)
+                    names.append(name)
             if not names:
                 return set()
-            for name in names:
-                self._truth[name] = True
-                self.trace.emit(now, "condition_set", node,
-                                condition=name, module=module, args=args)
             flipped = set(names)
             self._last_progress_ms = now
             still_blocked: list[_Waiter] = []
@@ -188,11 +204,11 @@ class ConditionStore:
         if not plan.needs:
             # No truth value to read, so no lock, as for the runtime's
             # start_request.
-            return self._emit_no_wait(plan, node)
+            return self.emit_no_wait(plan, node)
         with self.clock.cond:
             unmet = {name for name in plan.needs if not self._truth[name]}
             if not unmet:
-                return self._emit_no_wait(plan, node)
+                return self.emit_no_wait(plan, node)
             now = self.clock.now()
             self.trace.emit(now, "wait_begin", node, plan.detail,
                             conditions=",".join(sorted(unmet)))
@@ -234,15 +250,18 @@ class ConditionStore:
         self._waiters = []
         return report
 
-    # -- internals -----------------------------------------------------------
-
-    def _emit_no_wait(self, plan: StartPlan, node: str) -> WaitReport:
-        """Trace a start that does not wait; its report."""
+    def emit_no_wait(self, plan: StartPlan, node: str) -> WaitReport:
+        """Trace a start of ``plan``'s key that does not wait: its
+        ``wait_begin``/``wait_end`` pair at the current time, and its report.
+        What :meth:`wait_for_conditions` does for a key with no needs, for a
+        caller that already holds the plan."""
         detail, report = plan.no_wait or _no_wait(plan)
         now = self.clock.now()
         self.trace.emit(now, "wait_begin", node, detail)
         self.trace.emit(now, "wait_end", node, plan.detail)
         return report
+
+    # -- internals -----------------------------------------------------------
 
     def _release(self, waiter: _Waiter, now: float) -> None:
         # Emitted here, under the lock and in registration order, so the

@@ -100,7 +100,7 @@ class StartPlan:
     its module shares one empty ``needs`` and one empty ``sets``.
     """
 
-    __slots__ = ("module", "args", "needs", "sets", "detail", "no_wait")
+    __slots__ = ("module", "args", "needs", "sets", "detail", "no_wait", "set_details")
 
     def __init__(self, graph: "DependencyGraph", module: str, args: str | None):
         self.detail = prepare_key_detail(module, args)  # first: raises on whitespace
@@ -110,6 +110,7 @@ class StartPlan:
                       if module in graph._precondition_modules else _NO_NEEDS)
         self.sets = graph._sets(module, args) if module in graph._setter_modules else ()
         self.no_wait = None  # (wait_begin detail, WaitReport), set by the store
+        self.set_details = None  # condition_set details, one per name in sets, set by the store
 
     @property
     def key(self) -> ModuleKey:
@@ -385,8 +386,9 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
         if not group.members:
             err("empty-group", f"group {group.name!r} has no members", 1, idx)
         for member in group.members:
-            if member in group_names and member != group.name:
-                # flat groups only; a member must be a condition
+            if member in group_names:
+                # flat groups only, a group naming itself included; a
+                # member must be a condition
                 err("unknown-name",
                     f"group {group.name!r} may not contain group {member!r}", 1, idx)
             elif member not in declared:

@@ -11,7 +11,10 @@ parent decides, so the original restart policy still applies to the slot
 
 Every worker and supervisor start is bracketed by the condition store:
 wait for preconditions immediately before init, publish the completed
-conditions immediately after.
+conditions immediately after.  A start enters the store only for what its
+key's start plan holds: with no needs it traces its non-waiting
+``wait_begin``/``wait_end`` pair without a wait, and with no sets it
+publishes nothing.
 
 Threading model: sequential children run inline in their supervisor's
 thread (a blocked sequential child blocks the whole chain, by design);
@@ -429,7 +432,10 @@ class Runtime:
             with self.clock.cond:
                 siblings.append(node)
         emit(now(), "start_request", path)
-        self.store.wait_for_conditions(spec.module, spec.args, node=path)
+        if plan.needs:
+            self.store.wait_for_conditions(spec.module, spec.args, node=path)
+        else:
+            self.store.emit_no_wait(plan, path)
         emit(now(), "init_begin", path, plan.detail)
         try:
             self._run_init(spec.init, spec.args)
@@ -439,7 +445,8 @@ class Runtime:
                 node.state = "terminated"
             return node, False
         emit(now(), "init_end", path, plan.detail)
-        self.store.set_condition(spec.module, spec.args, node=path)
+        if plan.sets:
+            self.store.set_condition(spec.module, spec.args, node=path)
         return node, True
 
     def _run_init(self, init: InitModel, args: str | None) -> None:
@@ -577,7 +584,7 @@ class Runtime:
         return len(self._acked_paths) - wrappers, wrappers
 
     def _ack(self, path: str) -> None:
-        event = self._emit("ack", path)
+        event = self.trace.emit(self.clock.now(), "ack", path)
         self._acked_paths.add(path)
         self._last_done_ms = max(self._last_done_ms, event.ts)
 

@@ -18,8 +18,9 @@ event's own keyword details.
 
 from __future__ import annotations
 
+import itertools
 import re
-import threading
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import TraceFormatError
@@ -115,13 +116,30 @@ class TraceEvent(NamedTuple):
         return default
 
 
+_seq_of = itemgetter(0)
+
+
 class TraceSink:
-    """Append-only, thread-safe event collector."""
+    """Append-only, thread-safe event collector.
+
+    Ordering rule: one atomic counter gives each event its ``seq``, and one
+    ``list.append`` stores it; ``emit`` takes no lock.  Under CPython's
+    interpreter lock, ``next()`` on an ``itertools.count`` and
+    ``list.append`` each run as one C call that no other thread interleaves
+    with, so seqs are unique and gap-free and no append is lost.  A thread
+    can be switched out between taking its seq and appending, so events
+    from different threads may be stored slightly out of seq order; one
+    thread's events are stored in its own program order.  The readers
+    (:attr:`events`, :meth:`to_lines`) therefore sort by seq, which costs
+    O(n) on input that is already in order.  A read made while another
+    thread is inside ``emit`` may miss that thread's event, as a read just
+    before the call would.  An interpreter without that lock (a
+    free-threaded build) would need a lock in ``emit`` again.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
-        self._seq = 0
+        self._seq = itertools.count()
 
     def emit(self, ts: float, kind: str, node: str, prepared: PreparedDetail = _NO_DETAIL,
              /, **detail: object) -> TraceEvent:
@@ -133,21 +151,19 @@ class TraceSink:
             raise TypeError("prepared trace detail must come from prepare_detail(), "
                             f"not {prepared!r}")
         items = prepared + _checked_items(detail) if detail else prepared
-        with self._lock:
-            # tuple.__new__ skips the Python-level NamedTuple constructor.
-            event = tuple.__new__(TraceEvent, (self._seq, ts, kind, node, items))
-            self._seq += 1
-            self._events.append(event)
+        # tuple.__new__ skips the Python-level NamedTuple constructor.
+        event = tuple.__new__(TraceEvent, (next(self._seq), ts, kind, node, items))
+        self._events.append(event)
         return event
 
     @property
     def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._events)
+        events = self._events.copy()
+        events.sort(key=_seq_of)
+        return events
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return len(self._events)
 
     def to_lines(self) -> list[str]:
         return _format_lines(self.events)

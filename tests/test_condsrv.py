@@ -366,6 +366,75 @@ def test_boot_prepares_details_per_key_not_per_event(monkeypatch):
     assert parse_trace(result.system.trace.to_lines()) == events
 
 
+def count_store_calls(monkeypatch) -> dict[str, list]:
+    """Record (module, args, result) of every call the runtime makes into
+    the store's wait_for_conditions and set_condition."""
+    calls: dict[str, list] = {"wait_for_conditions": [], "set_condition": []}
+    for name, recorded in calls.items():
+        original = getattr(ConditionStore, name)
+
+        def counted(store, module, args=None, *, node="-", _original=original,
+                    _recorded=recorded):
+            result = _original(store, module, args, node=node)
+            _recorded.append((module, args, result))
+            return result
+
+        monkeypatch.setattr(ConditionStore, name, counted)
+    return calls
+
+
+def test_a_start_enters_the_store_only_for_what_its_plan_holds(monkeypatch):
+    calls = count_store_calls(monkeypatch)
+    # Every key needs and sets nothing: no store round trip at all.
+    tree = parse_tree("sup r module=root\n  worker a module=m init=sleep:1\n"
+                      "  sup b module=n mode=concurrent\n    worker c module=m args=[c]\n")
+    result = boot_system(DependencyGraph(), [("app", tree)], clock=VirtualClock())
+    assert result.report.node_count == 4
+    assert calls == {"wait_for_conditions": [], "set_condition": []}
+    # Each start still traces its non-waiting pair.
+    waits = [(e.kind, e.node) for e in result.system.trace.events if e.kind.startswith("wait_")]
+    assert len(waits) == 8 and check_trace(result.system.trace.events, DependencyGraph(),
+                                           [("app", tree)]) == []
+
+    # Only the waiting keys wait and only the setter sets; a blocked wait
+    # and a flip return what they returned before.
+    graph, tree = parse_release_graph(PLAN_GRAPH), parse_tree(plan_tree(2))
+    result = boot_system(graph, [("app", tree)], clock=VirtualClock())
+    assert [(module, args) for module, args, _ in calls["wait_for_conditions"]] == [
+        ("worker", "[w]")] * 4
+    # The first worker of each lane blocks until the flip at 5 ms; the
+    # second starts after it and finds the condition set.
+    key = ModuleKey("worker", "[w]")
+    reports = sorted((report for _, _, report in calls["wait_for_conditions"]),
+                     key=lambda report: report.waited_ms)
+    assert reports == [condsrv.WaitReport(key, 0.0, frozenset())] * 2 + [
+        condsrv.WaitReport(key, 5.0, frozenset({"ready"}))] * 2
+    assert calls["set_condition"] == [("setter", None, {"ready"})]
+    events = result.system.trace.events
+    assert sum(e.kind == "wait_begin" and e.get("conditions") == "ready" for e in events) == 2
+    assert check_trace(events, graph, [("app", tree)]) == []
+
+
+def test_condition_set_details_are_made_once_per_key(two_app_graph):
+    store, _ = make_store(two_app_graph)
+    plan = store.plan("generic_server", "[app1_server1]")
+    assert plan.set_details is None
+    assert store.set_condition("generic_server", "[app1_server1]", node="a") == {
+        "cond_app1_server1"}
+    details = plan.set_details
+    assert details == ((("condition", "cond_app1_server1"), ("module", "generic_server"),
+                        ("args", "[app1_server1]")),)
+    other, _ = make_store(two_app_graph)  # a second store over the same graph
+    other.set_condition("generic_server", "[app1_server1]", node="b")
+    assert plan.set_details is details
+    assert [e.detail for e in other.trace.events] == [e.detail for e in store.trace.events]
+    assert other.trace.events[0].detail is details[0]
+    # A wildcard setter's detail has no args, as the keyword form dropped None.
+    store.set_condition("app1_rootsup", node="c")
+    assert store.trace.events[-1].detail == (("condition", "cond_app1_rootsup"),
+                                             ("module", "app1_rootsup"))
+
+
 def test_start_plan_is_made_once_per_key_and_shared(two_app_graph):
     store, _ = make_store(two_app_graph)
     plan = store.plan("generic_server", "[app2_server1]")

@@ -162,6 +162,17 @@ def test_validate_nested_group():
         "error[name-collision] 'g1' is both a condition and a group",
         "error[unknown-name] group 'g2' may not contain group 'g1'",
     ]
+    # A group that names itself is a group inside a group too.
+    graph = DependencyGraph(conditions=((ModuleKey("m"), "c1"),),
+                            groups=(ConditionGroup("g", ("g",)),))
+    assert [d.render() for d in graph.validate()] == [
+        "error[unknown-name] group 'g' may not contain group 'g'",
+    ]
+    with pytest.raises(GraphError) as exc:
+        parse_release_graph("[conditions]\nm * -> c1\n[groups]\ng = g\n")
+    assert [d.render() for d in exc.value.diagnostics] == [
+        "line 4: error[unknown-name] group 'g' may not contain group 'g'",
+    ]
 
 
 def test_wildcard_and_exact_conditions_for_same_module_allowed():
