@@ -34,8 +34,7 @@ def main():
     for event in result.system.trace.events:
         print(f"  {event.ts:7.1f}  {event.kind:<14} {event.node}")
 
-    forest = [(name, root) for name, root, _ in release.applications]
-    violations = check_trace(result.system.trace.events, graph, forest)
+    violations = check_trace(result.system.trace.events, graph, release.applications)
     print("\ntrace check:", "clean" if not violations else violations)
 
 

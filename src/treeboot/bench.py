@@ -71,7 +71,8 @@ class TopologySpec:
 @dataclass(frozen=True)
 class DelayModel:
     """Per-node simulated init cost.  ``spread_ms`` draws uniformly from
-    [lo, hi] with its own seed instead of the constant."""
+    [lo, hi] with its own seed instead of the constant; a constant cost
+    draws nothing, so it takes no seed."""
 
     kind: str = "sleep"  # sleep | busy
     per_node_ms: float = 50.0
@@ -84,6 +85,8 @@ class DelayModel:
         if self.spread_ms is None:
             if self.per_node_ms <= 0:
                 raise ValueError("per_node_ms must be > 0")
+            if self.seed != 0:
+                raise ValueError("a constant delay draws nothing; it takes no seed")
         else:
             lo, hi = self.spread_ms
             if not (0 < lo <= hi):
@@ -99,12 +102,26 @@ class DelayModel:
         return lambda: make(rng.uniform(lo, hi))
 
 
+# The field each placement strategy reads, if any.
+_PLACEMENT_READS = {"none": None, "all_at_depth": "depth",
+                    "first_n_breadth_first": "count", "explicit": "paths"}
+
+
 @dataclass(frozen=True)
 class ForkPlacement:
+    """Which nodes of a tree become fork points.  Each strategy reads at
+    most one of ``depth``, ``count`` and ``paths``, and refuses the others."""
+
     strategy: str = "none"  # none | all_at_depth | first_n_breadth_first | explicit
     depth: int | None = None
     count: int | None = None
     paths: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        reads = _PLACEMENT_READS.get(self.strategy)
+        for name in ("depth", "count", "paths"):
+            if name != reads and getattr(self, name) not in (None, ()):
+                raise ValueError(f"the {self.strategy} placement reads no {name}")
 
     @staticmethod
     def none() -> "ForkPlacement":

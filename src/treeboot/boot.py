@@ -40,9 +40,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Release:
+    """A parsed release: ``applications`` is the forest, (name, root spec)
+    pairs in start order, that :func:`boot_system` and ``check_trace``
+    take."""
+
     name: str
     graph_path: str
-    applications: tuple[tuple[str, ChildSpec, str], ...]  # (name, root, tree path)
+    applications: tuple[tuple[str, ChildSpec], ...]
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
     base = Path(base_dir)
     name: str | None = None
     graph_path: str | None = None
-    apps: list[tuple[str, ChildSpec, str]] = []
+    apps: list[tuple[str, ChildSpec]] = []
     seen_apps: set[str] = set()
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -112,7 +116,7 @@ def parse_release(source: str, *, base_dir: str | Path = ".") -> Release:
                 raise ReleaseError(f"duplicate application name {app_name!r}", lineno)
             seen_apps.add(app_name)
             root = parse_tree(read_input(base / tree_path, "tree file", lineno))
-            apps.append((app_name, root, tree_path))
+            apps.append((app_name, root))
         else:
             raise ReleaseError(f"expected 'release', 'graph' or 'app' line, got {line!r}",
                                lineno)
@@ -181,5 +185,4 @@ def boot(release: Release, *, base_dir: str | Path = ".", **options) -> BootResu
     """Boot a parsed release: load + validate its graph, then boot_system
     with ``options``."""
     graph = parse_release_graph(read_input(Path(base_dir) / release.graph_path, "graph file"))
-    apps = [(app_name, root) for app_name, root, _ in release.applications]
-    return boot_system(graph, apps, **options)
+    return boot_system(graph, release.applications, **options)

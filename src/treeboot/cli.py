@@ -130,8 +130,7 @@ def cmd_check(args) -> int:
     tree_text = _read(args.tree)
     if _is_release(tree_text):
         release = parse_release(tree_text, base_dir=Path(args.tree).parent)
-        forest = [(name, root) for name, root, _ in release.applications]
-        violations = check_trace(events, graph, forest)
+        violations = check_trace(events, graph, release.applications)
     else:
         violations = check_trace(events, graph, parse_tree(tree_text))
     for violation in violations:

@@ -19,11 +19,10 @@ does not change during a run (its expanded preconditions, the conditions
 it sets, its checked trace details) is worked out on the key's first start
 and kept on the graph (:meth:`DependencyGraph.start_plan`), so every store
 over one graph, the supervision runtime, the analytic model and the trace
-checker read the same plan.  A start that needs nothing reads no truth
-value and takes no lock; a key that sets nothing returns from
-``set_condition`` before taking the lock.  The supervision runtime, which
-already holds the plan, calls neither for such a key: it traces a start
-that needs nothing through :meth:`ConditionStore.emit_no_wait`.
+checker read the same plan.  The supervision runtime, which already
+holds the plan, calls the store only for what the plan holds: a start
+that needs nothing is traced through :meth:`ConditionStore.emit_no_wait`,
+and a key that sets nothing makes no ``set_condition`` call.
 """
 
 from __future__ import annotations
@@ -166,8 +165,6 @@ class ConditionStore:
         Idempotent; unknown modules are a no-op by design.
         """
         plan = self.graph.start_plan(module, args)
-        if not plan.sets:
-            return set()
         details = plan.set_details or _set_details(plan)
         with self.clock.cond:
             now = self.clock.now()
@@ -201,10 +198,6 @@ class ConditionStore:
         Raises :class:`DeadlockError` when the watchdog aborts the wait.
         """
         plan = self.graph.start_plan(module, args)
-        if not plan.needs:
-            # No truth value to read, so no lock, as for the runtime's
-            # start_request.
-            return self.emit_no_wait(plan, node)
         with self.clock.cond:
             unmet = {name for name in plan.needs if not self._truth[name]}
             if not unmet:

@@ -414,7 +414,6 @@ def _validate(conditions, groups, preconditions, lines=None) -> list[Diagnostic]
 
 # -- file format ----------------------------------------------------------
 
-_SECTIONS = ("conditions", "groups", "preconditions")
 _condition_line = re.compile(r"(\S+)\s+(\S+)\s*->\s*(\S+)").fullmatch
 _group_line = re.compile(r"(\S+)\s*=\s*(.*)").fullmatch
 _precondition_line = re.compile(r"(\S+)\s+(\S+)\s*<-\s*(.*)").fullmatch
@@ -435,11 +434,7 @@ def parse_release_graph(source: str) -> DependencyGraph:
     groups: list[ConditionGroup] = []
     preconditions: list[tuple[ModuleKey, tuple[str, ...]]] = []
     lines: tuple[list[int], list[int], list[int]] = ([], [], [])  # per section, per entry
-    condition_lines, group_lines, precondition_lines = lines
     keys: dict[tuple[str, str], ModuleKey] = {}  # (module, args token) -> its checked key
-
-    section = None
-    seen_sections: set[str] = set()
 
     def syntax(code, message, lineno):
         diags.append(Diagnostic("error", code, message, lineno))
@@ -472,61 +467,59 @@ def parse_release_graph(source: str) -> DependencyGraph:
                 return None
         return tuple(names)
 
+    def condition(m, lineno):
+        module_tok, args_tok, name = m.groups()
+        key = parse_key(module_tok, args_tok, lineno)
+        return None if key is None else (key, name)
+
+    def group(m, lineno):
+        name, text = m.groups()
+        members = parse_name_list(text, lineno)
+        return None if members is None else ConditionGroup(name, members)
+
+    def precondition(m, lineno):
+        module_tok, args_tok, text = m.groups()
+        key = parse_key(module_tok, args_tok, lineno)
+        names = parse_name_list(text, lineno)
+        return None if key is None or names is None else (key, names)
+
+    # Per section: its line grammar, the shape a syntax error names, the
+    # builder of one entry, and the lists the entry and its line go to.
+    sections = {
+        "conditions": (_condition_line, "<module> <args|*> -> <condition>", condition,
+                       conditions, lines[0]),
+        "groups": (_group_line, "<group> = <name>, ...", group, groups, lines[1]),
+        "preconditions": (_precondition_line, "<module> <args|*> <- <name>, ...",
+                          precondition, preconditions, lines[2]),
+    }
+    section = None
+    seen_sections: set[str] = set()
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            section = sections.get(name)
+            if section is None:
                 syntax("syntax-error", f"unknown section {name!r}", lineno)
-                section = None
                 continue
             if name in seen_sections:
                 syntax("duplicate-section", f"section [{name}] appears twice", lineno)
             seen_sections.add(name)
-            section = name
+            match, shape, build, entries, entry_lines = section
             continue
         if section is None:
             syntax("syntax-error", f"entry outside any section: {line!r}", lineno)
             continue
-        if section == "conditions":
-            m = _condition_line(line)
-            if not m:
-                syntax("syntax-error",
-                       f"expected '<module> <args|*> -> <condition>', got {line!r}", lineno)
-                continue
-            module_tok, args_tok, name = m.groups()
-            key = parse_key(module_tok, args_tok, lineno)
-            if key is None:
-                continue
-            condition_lines.append(lineno)
-            conditions.append((key, name))
-        elif section == "groups":
-            m = _group_line(line)
-            if not m:
-                syntax("syntax-error",
-                       f"expected '<group> = <name>, ...', got {line!r}", lineno)
-                continue
-            name, text = m.groups()
-            members = parse_name_list(text, lineno)
-            if members is None:
-                continue
-            group_lines.append(lineno)
-            groups.append(ConditionGroup(name, members))
-        else:
-            m = _precondition_line(line)
-            if not m:
-                syntax("syntax-error",
-                       f"expected '<module> <args|*> <- <name>, ...', got {line!r}", lineno)
-                continue
-            module_tok, args_tok, text = m.groups()
-            key = parse_key(module_tok, args_tok, lineno)
-            names = parse_name_list(text, lineno)
-            if key is None or names is None:
-                continue
-            precondition_lines.append(lineno)
-            preconditions.append((key, names))
+        m = match(line)
+        if not m:
+            syntax("syntax-error", f"expected '{shape}', got {line!r}", lineno)
+            continue
+        entry = build(m, lineno)
+        if entry is not None:
+            entry_lines.append(lineno)
+            entries.append(entry)
 
     diags.extend(_validate(conditions, groups, preconditions, lines))
     if diags:  # every diagnostic is an error

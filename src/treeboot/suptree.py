@@ -362,7 +362,7 @@ class Runtime:
                 if node.state == "terminated":
                     return CrashOutcome()
                 self._emit("crash", node.path, reason="injected")
-                self._terminate_subtree(node, emit_self=False)
+                self._terminate_subtree(node, None)
             hops: list[tuple[str, str]] = []
             if node.parent is not None:
                 self._handle_child_exit(node.parent, node, hops)
@@ -417,8 +417,7 @@ class Runtime:
             with self.clock.cond:
                 ok = self._allow_restart(node)
                 if not ok:
-                    self._terminate_subtree(node, emit_self=True,
-                                            reason="child-start-failure")
+                    self._terminate_subtree(node, "child-start-failure")
 
     def _begin(self, parent: Node | None, spec: ChildSpec, path: str,
                siblings: list[Node] | None) -> tuple[Node, bool]:
@@ -480,8 +479,7 @@ class Runtime:
                     if wrapper.state == "terminated":
                         # The wrapper went down with its parent during the
                         # start: the child follows it and never attaches.
-                        self._terminate_subtree(node, emit_self=True,
-                                                reason="parent-terminated")
+                        self._terminate_subtree(node, "parent-terminated")
                         return
                     if ok:
                         wrapper.children.append(node)
@@ -532,8 +530,7 @@ class Runtime:
                     restart = self._allow_restart(sup)
                 hops.append((sup.path, "restarted" if restart else "escalated"))
                 if not restart:
-                    self._terminate_subtree(sup, emit_self=True,
-                                            reason="restart-budget-exhausted")
+                    self._terminate_subtree(sup, "restart-budget-exhausted")
             if restart:
                 spec = child.spec
                 if spec.start_mode == "concurrent" and not self.force_sequential:
@@ -560,15 +557,17 @@ class Runtime:
             return True
         return False
 
-    def _terminate_subtree(self, node: Node, *, emit_self: bool, reason: str = "killed") -> None:
+    def _terminate_subtree(self, node: Node, reason: str | None) -> None:
         """Terminate ``node`` and its live descendants, each after its
-        children in child order; a terminated child's subtree is skipped."""
+        children in child order; a terminated child's subtree is skipped.
+        ``node``'s own ``terminate`` is traced with ``reason``, and not at
+        all when it is None."""
         for current in reversed(node.walk(live=True)):
             if current.state != "terminated":
                 current.state = "terminated"
                 if current is not node:
                     self._emit("terminate", current.path, reason="parent-terminated")
-                elif emit_self:
+                elif reason is not None:
                     self._emit("terminate", current.path, reason=reason)
 
     # -- bookkeeping ------------------------------------------------------------
@@ -925,9 +924,7 @@ def parse_tree(text: str) -> ChildSpec:
 def serialize_tree(spec: ChildSpec) -> str:
     """Render a ChildSpec tree back into the file format."""
     lines: list[str] = []
-    stack = [(spec, 0)]
-    while stack:
-        node, depth = stack.pop()
+    for _, node, _, depth in spec.walk():
         parts = ["sup" if node.kind == "supervisor" else "worker", node.id]
         if node.module != node.id:
             parts.append(f"module={node.module}")
@@ -944,5 +941,4 @@ def serialize_tree(spec: ChildSpec) -> str:
         if node.flags != _DEFAULT_FLAGS:
             parts.append(f"restarts={node.flags.max_restarts}/{node.flags.max_seconds:g}")
         lines.append("  " * depth + " ".join(parts))
-        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines) + "\n"

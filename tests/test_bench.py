@@ -81,6 +81,42 @@ def test_regular_topology_refuses_seed(kind):
         gen_topology(TopologySpec(kind, seed=5), unit_delays())
 
 
+def test_unknown_topology_kind_refused():
+    with pytest.raises(ValueError, match="unknown topology kind 'ring'"):
+        gen_topology(TopologySpec("ring"), unit_delays())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="spin"), "unknown delay kind 'spin'"),
+    (dict(per_node_ms=0.0), "per_node_ms must be > 0"),
+    (dict(spread_ms=(0.0, 1.0)), "spread bounds"),
+    (dict(spread_ms=(3.0, 2.0)), "spread bounds"),
+    (dict(per_node_ms=2.0, seed=7), "takes no seed"),
+])
+def test_delay_model_refuses(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DelayModel(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(depth=1), "depth"),
+    (dict(count=2), "count"),
+    (dict(paths=("n0/n1",)), "paths"),
+    (dict(strategy="all_at_depth", depth=1, count=2), "count"),
+    (dict(strategy="all_at_depth", depth=1, paths=("n0/n1",)), "paths"),
+    (dict(strategy="first_n_breadth_first", count=2, depth=0), "depth"),
+    (dict(strategy="explicit", paths=("n0/n1",), depth=1), "depth"),
+])
+def test_fork_placement_refuses_what_its_strategy_never_reads(kwargs, field):
+    with pytest.raises(ValueError, match=f"reads no {field}$"):
+        ForkPlacement(**kwargs)
+
+
+def test_bench_config_refuses_bad_mode():
+    with pytest.raises(ValueError, match="bad mode 'both'"):
+        BenchConfig(TopologySpec("wide"), mode="both")
+
+
 def test_random_topology_different_seeds_differ():
     assert gen_topology(TopologySpec("random", seed=1), unit_delays()) != \
         gen_topology(TopologySpec("random", seed=2), unit_delays())
@@ -158,6 +194,25 @@ def test_placement_explicit_unknown_path():
     tree = gen_topology(TopologySpec("wide"), unit_delays())
     with pytest.raises(ValueError):
         place_forks(tree, ForkPlacement.explicit(["n0/ghost"]))
+
+
+@pytest.mark.parametrize("placement, message", [
+    (ForkPlacement.first_n(-1), "requires count >= 0"),
+    (ForkPlacement.first_n(111), "only 110 non-root nodes available"),
+    (ForkPlacement.explicit(["n0"]), "the root cannot be a fork point"),
+    (ForkPlacement("scatter"), "unknown placement strategy 'scatter'"),
+])
+def test_placement_refused(placement, message):
+    tree = gen_topology(TopologySpec("wide"), unit_delays())
+    with pytest.raises(ValueError, match=message):
+        place_forks(tree, placement)
+
+
+def test_placement_labels():
+    assert [placement.label() for placement in (
+        ForkPlacement.none(), ForkPlacement.at_depth(2), ForkPlacement.first_n(3),
+        ForkPlacement.explicit(["n0/n1", "n0/n2"]))] == [
+        "none", "depth:2", "first:3", "explicit:2"]
 
 
 # -- critical path ----------------------------------------------------------------

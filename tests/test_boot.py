@@ -57,7 +57,7 @@ def test_parse_release_order(release_dir):
                             base_dir=release_dir)
     assert release.name == "demo"
     assert release.graph_path == "sys.rgraph"
-    assert [name for name, _, _ in release.applications] == ["app1", "app2"]
+    assert [name for name, _ in release.applications] == ["app1", "app2"]
     assert release.applications[0][1].id == "rootsup"
 
 
@@ -87,6 +87,11 @@ def test_parse_release_duplicate_graph_line():
         parse_release("release r\ngraph a.rgraph\ngraph b.rgraph\n")
 
 
+def test_parse_release_duplicate_release_line():
+    with pytest.raises(ReleaseError, match=r"^duplicate release line \(line 3\)$"):
+        parse_release("release r\ngraph a.rgraph\nrelease s\n")
+
+
 # -- booting -------------------------------------------------------------------
 
 
@@ -97,9 +102,17 @@ def test_boot_two_app_release_passes_check(release_dir):
     # app2's gated server waits for app1's slowest lane: 40 + 15
     assert result.report.duration_ms == 55.0
     assert [name for name, _ in result.per_app_ms] == ["app1", "app2"]
-    forest = [(name, root) for name, root, _ in release.applications]
     graph = parse_release_graph(TWO_APP_GRAPH)
-    assert check_trace(result.system.trace.events, graph, forest) == []
+    assert check_trace(result.system.trace.events, graph, release.applications) == []
+
+
+def test_system_find_searches_every_root(release_dir):
+    release = parse_release((release_dir / "demo.rel").read_text(),
+                            base_dir=release_dir)
+    system = boot(release, base_dir=release_dir, clock=VirtualClock()).system
+    assert system.find("app2/rootsup2/server1").path == "app2/rootsup2/server1"
+    assert system.find("app1/rootsup/server4") is None
+    assert system.find("app3/rootsup") is None
 
 
 def test_boot_app_ack_order_matches_release_order(release_dir):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from treeboot.cli import EXIT_CODES, main
-from treeboot.errors import ClockStalledError, TreebootError
+from treeboot.errors import ClockStalledError, StartupError, TreebootError
 
 from conftest import TWO_APP_GRAPH, CYCLE_GRAPH, chain_graph_text
 
@@ -442,6 +442,33 @@ def test_inputs_that_are_directories_exit_2_with_the_os_error(workdir, capsys):
     ]:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{path}'\n"
+
+
+def test_bench_config_as_the_last_argument_exit_2(capsys):
+    # no path follows --config, so nothing is spliced and argparse refuses it
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--topology", "wide", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
+def test_bench_failed_repetition_exit_1_names_it(monkeypatch, capsys):
+    import treeboot.bench
+
+    real_boot, boots = treeboot.bench.boot_system, []
+
+    def boot_failing_the_second(*args, **kwargs):
+        boots.append(None)
+        if len(boots) == 2:
+            raise StartupError("root wide/n0 terminated", "wide/n0")
+        return real_boot(*args, **kwargs)
+
+    monkeypatch.setattr(treeboot.bench, "boot_system", boot_failing_the_second)
+    assert main(["bench", "--topology", "wide", "--depth", "1", "--virtual-clock",
+                 "--delay-ms", "1", "--repeat", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert "over 2 run(s)" in out
+    assert err == "repetition 2 failed: StartupError: root wide/n0 terminated\n"
 
 
 def test_bench_config_missing_file_exit_2_with_its_message(workdir, capsys):

@@ -1,4 +1,4 @@
-"""The benchmark's gated workloads run end to end and stay correct.
+"""Every benchmark workload runs end to end and stays correct.
 
 One traced step of each workload, with no timed repetitions: the run must
 exit 0, check every boot, and print the same deterministic counts as
@@ -22,6 +22,12 @@ COUNTS = {
                  "condsrv.wait.blocked": 0, "condsrv.waiter_scans": 0},
     "deps-mesh": {"tracing.emit.calls": 4646, "clock.spawn.calls": 16, "condsrv.set.flips": 656,
                   "condsrv.wait.blocked": 192, "condsrv.waiter_scans": 2424},
+    # The two hand-run workloads: 81 forks parked on the virtual clock, and
+    # the only run of WallClock starter threads.
+    "fork-deep": {"tracing.emit.calls": 6801, "clock.spawn.calls": 81, "condsrv.set.flips": 0,
+                  "condsrv.wait.blocked": 0, "condsrv.waiter_scans": 0},
+    "wall-wide": {"tracing.emit.calls": 696, "clock.spawn.calls": 10, "condsrv.set.flips": 0,
+                  "condsrv.wait.blocked": 0, "condsrv.waiter_scans": 0},
 }
 
 

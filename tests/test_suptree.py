@@ -266,6 +266,21 @@ def test_restart_budget_one_then_escalate():
     assert root.state == "terminated"
 
 
+def test_node_repr_names_path_kind_and_state():
+    rt, store, clock = fresh()
+    root = rt.start_supervisor(SupervisorFlags(), (
+        ChildSpec(id="w", module="m"),
+        ChildSpec(id="c", module="m", start_mode="concurrent"),
+    ))
+    rt.await_quiescence()
+    assert [repr(node) for node in root.walk()] == [
+        "<Node root supervisor running>", "<Node root/c#wrap wrapper running>",
+        "<Node root/c worker running>", "<Node root/w worker running>"]
+    crashed = root.find("root/w")
+    rt.inject_crash(crashed)
+    assert repr(crashed) == "<Node root/w worker terminated>"
+
+
 def test_restart_budget_window_expiry_allows_restart():
     rt, store, clock, root = budget_tree(1, 2.0)
     assert rt.inject_crash(root.find("root/w")).final == "restarted"
