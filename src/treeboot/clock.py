@@ -13,7 +13,9 @@ timestamps depend solely on the workload structure, never on OS scheduling.
 
 Blocking is park and wake: a thread parks on a one-shot waiter of its own,
 and whoever releases it wakes exactly that waiter, or its deadline fires.
-The clock never evaluates caller code to decide who may run.
+A waiter is a bare lock, so a park is one acquire of it and a wake one
+release, with no condition variable in between.  The clock never
+evaluates caller code to decide who may run.
 """
 
 from __future__ import annotations
@@ -39,16 +41,31 @@ _TIMED_OUT = "timed-out"
 
 
 class _Waiter:
-    """A one-shot wake-up target, owned by the thread that parks on it."""
+    """A one-shot wake-up target, owned by the thread that parks on it.
 
-    __slots__ = ("woken", "state", "cv")
+    ``gate`` is a bare lock, created held.  A park acquires it and a wake
+    releases it, so a wake-up reaches only the thread parked on this
+    waiter.  The wall clock releases it once, at the first wake; the
+    virtual clock once per park, when it ends that park.
+    """
 
-    def __init__(self, lock):
+    __slots__ = ("woken", "state", "gate")
+
+    def __init__(self):
         self.woken = False  # set by the first wake, and stays set
         self.state: str | None = None  # the virtual clock's last park on it
-        # Own condition over the shared lock: a wake-up reaches only the
-        # thread parked on this waiter.
-        self.cv = threading.Condition(lock)
+        self.gate = threading.Lock()
+        self.gate.acquire()
+
+    def block(self, lock, timeout: float = -1) -> None:
+        """Acquire ``gate``, for at most ``timeout`` seconds (-1: no limit),
+        with the clock's ``lock`` fully released, then take ``lock`` back at
+        the caller's depth, as a condition variable's wait does."""
+        saved = lock._release_save()
+        try:
+            self.gate.acquire(True, timeout)
+        finally:
+            lock._acquire_restore(saved)
 
 
 class Clock:
@@ -58,9 +75,11 @@ class Clock:
     entered as ``with clock.cond:``; no thread waits on it or notifies it.
     Locking protocol: ``now``, ``sleep`` and ``busy`` are called without
     holding ``cond``; ``wait`` and ``wake`` must be called while holding
-    it.  A waiter from :meth:`waiter` belongs to the one thread that waits
-    on it; any thread may wake it, and a wake is never lost: a waiter woken
-    before it parks returns at once.
+    it, at any depth.  A park releases ``cond`` fully while it blocks and
+    takes it back at the same depth before it returns.  A waiter from
+    :meth:`waiter` belongs to the one thread that waits on it; any thread
+    may wake it, and a wake is never lost: a waiter woken before it parks
+    returns at once.  A second wake does nothing.
     """
 
     cond: threading.RLock
@@ -86,7 +105,7 @@ class Clock:
 
     def waiter(self) -> _Waiter:
         """A fresh waiter for :meth:`wait` and :meth:`wake`."""
-        return _Waiter(self._lock)
+        return _Waiter()
 
     def wait(self, waiter: _Waiter, deadline: float | None = None) -> bool:
         """Park until ``waiter`` is woken or ``now() >= deadline``.
@@ -127,19 +146,16 @@ class WallClock(Clock):
             time.sleep(duration_ms / 1000.0)
 
     def wait(self, waiter, deadline=None) -> bool:
-        while not waiter.woken:
-            if deadline is None:
-                waiter.cv.wait()
-            else:
-                remaining = deadline - self.now()
-                if remaining <= 0:
-                    return False
-                waiter.cv.wait(remaining / 1000.0)
-        return True
+        timeout = -1 if deadline is None else (deadline - self.now()) / 1000.0
+        if not waiter.woken and (deadline is None or timeout > 0):
+            waiter.block(self._lock, timeout)
+        # A wake between the timeout and taking the lock back still counts.
+        return waiter.woken
 
     def wake(self, waiter) -> None:
-        waiter.woken = True
-        waiter.cv.notify()
+        if not waiter.woken:
+            waiter.woken = True
+            waiter.gate.release()
 
     def spawn(self, fn, name) -> threading.Thread:
         thread = threading.Thread(target=fn, name=name, daemon=True)
@@ -167,11 +183,16 @@ class VirtualClock(Clock):
     all of a clock's starters share it.  No participant needs a second
     core: time advances only when all of them are parked, and ``busy`` is
     simulated.  Keeping them together makes each park and wake a switch on
-    one CPU rather than a wake-up sent to another.  The caller's own thread
-    is never pinned.  The limit: user ``call`` code that runs in a starter,
-    and any thread it starts, stays on that CPU too.  Pinning is a cost
-    hint only: where ``os.sched_setaffinity`` is missing or refuses, the
-    thread runs unpinned.
+    one CPU rather than a wake-up sent to another.  Each such thread also
+    lowers its own policy to ``SCHED_BATCH``, under which a thread that is
+    woken does not preempt the one running.  So a woken starter waits until
+    its waker parks, and each handoff costs one thread switch, not a
+    preemption and a switch back.  The caller's own thread keeps its CPUs
+    and policy, and so do ``WallClock`` threads.  The limit: user ``call``
+    code that runs in a starter, and any thread it starts, stays on that
+    CPU and runs ``SCHED_BATCH`` too.  Both are cost hints only: where
+    ``os.sched_setaffinity`` or ``os.sched_setscheduler`` is missing or
+    refuses, the thread runs as the caller does.
     """
 
     def __init__(self, start_ms: float = 0.0):
@@ -198,7 +219,7 @@ class VirtualClock(Clock):
                 if earliest is None or deadline < earliest:
                     self._now = deadline
                     return
-            self._park(_Waiter(self._lock), deadline)
+            self._park(_Waiter(), deadline)
 
     def busy(self, duration_ms: float) -> None:
         """A simulated burn: the time passes as in :meth:`sleep`."""
@@ -226,6 +247,10 @@ class VirtualClock(Clock):
                     os.sched_setaffinity(0, {cpu})
                 except OSError:  # a cost hint: a refusal leaves the thread unpinned
                     pass
+            try:  # a woken starter waits for its waker to park
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            except (AttributeError, OSError):  # a cost hint, as the pin is
+                pass
             # A thread is one unit of activity; pre-set the attachment
             # depth so a nested attached() block cannot double-count it.
             self._local.depth = 1
@@ -268,15 +293,14 @@ class VirtualClock(Clock):
             heapq.heappush(self._timers, (deadline, next(self._tiebreak), waiter))
         self._active -= 1
         self._advance_if_idle()
-        while waiter.state == _PARKED:
-            waiter.cv.wait()
+        waiter.block(self._lock)  # released by the _unpark that ends this park
         return waiter.state == _WOKEN
 
     def _unpark(self, waiter: _Waiter, state: str) -> None:
         waiter.state = state
         self._parked -= 1
         self._active += 1
-        waiter.cv.notify()
+        waiter.gate.release()
 
     def _earliest_timer(self) -> float | None:
         # Drop the timers that a wake left behind.

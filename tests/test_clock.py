@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -191,6 +192,124 @@ def test_wall_clock_now_monotonic():
     assert clock.now() >= a + 1.5
 
 
+# -- the bare-lock waiter --------------------------------------------------
+# A waiter's gate is a lock created held: a park acquires it with the
+# clock's lock fully released, and a wake releases it.
+
+
+@pytest.mark.parametrize("clock_type", [WallClock, VirtualClock])
+def test_a_second_wake_is_a_no_op(clock_type):
+    clock = clock_type()
+    early, parked = clock.waiter(), clock.waiter()
+    box = {}
+
+    def park():
+        with clock.cond:
+            box["entered"] = True
+            box["woken"] = clock.wait(parked, deadline=clock.now() + 60_000)
+
+    with clock.attached():
+        with clock.cond:
+            clock.wake(early)
+            clock.wake(early)  # before any park: must not release the gate twice
+            assert clock.wait(early) is True
+        t = clock.spawn(park, "parked")
+        _until_parked(clock, box)
+        with clock.cond:
+            clock.wake(parked)
+            clock.wake(parked)  # the park has ended already
+        t.join(5)
+    assert not t.is_alive()
+    assert box["woken"] is True
+    with clock.cond:
+        assert clock.wait(parked) is True
+
+
+def test_wall_wait_that_timed_out_returns_at_once_once_woken():
+    clock = WallClock()
+    waiter = clock.waiter()
+    with clock.cond:
+        assert clock.wait(waiter, deadline=clock.now() + 1) is False
+        clock.wake(waiter)
+        started = time.monotonic()
+        assert clock.wait(waiter, deadline=clock.now() + 5_000) is True
+        assert clock.wait(waiter) is True
+    assert time.monotonic() - started < 1
+
+
+@pytest.mark.parametrize("clock_type", [WallClock, VirtualClock])
+def test_a_park_releases_a_re_entered_lock_fully(clock_type):
+    clock = clock_type()
+    waiter = clock.waiter()
+    box = {}
+
+    def park():
+        with clock.cond, clock.cond:
+            box["entered"] = True
+            box["woken"] = clock.wait(waiter, deadline=clock.now() + 60_000)
+            # Taken back at depth two: one release leaves it held.
+            clock.cond.release()
+            box["still_held"] = clock.cond._is_owned()
+            clock.cond.acquire()
+
+    with clock.attached():
+        t = clock.spawn(park, "parked")
+        _until_parked(clock, box)
+        with clock.cond:
+            clock.wake(waiter)
+        t.join(5)
+    assert not t.is_alive()
+    assert box == {"entered": True, "woken": True, "still_held": True}
+
+
+@pytest.mark.parametrize("clock_type", [WallClock, VirtualClock])
+def test_a_ring_of_handoffs_loses_no_wake_under_a_short_switch_interval(clock_type):
+    # Each member parks on its waiter of the round, then wakes the next
+    # member: a lost or doubled wake hangs the ring or breaks its order.
+    clock = clock_type()
+    members, rounds = 8, 40
+    gates = [[clock.waiter() for _ in range(members)] for _ in range(rounds + 1)]
+    passes = []
+
+    def member(i):
+        for r in range(rounds):
+            with clock.cond:
+                clock.wait(gates[r][i])
+                passes.append((r, i))
+                clock.wake(gates[r + (i + 1) // members][(i + 1) % members])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with clock.attached():
+            threads = [clock.spawn(lambda i=i: member(i), f"m{i}") for i in range(members)]
+            with clock.cond:
+                clock.wake(gates[0][0])
+        for t in threads:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert passes == [(r, i) for r in range(rounds) for i in range(members)]
+
+
+def _until_parked(clock, box):
+    """Return once the thread that set ``box["entered"]`` under ``cond``
+    has parked: it releases ``cond`` only inside its wait, so taking
+    ``cond`` after that proves the park let go of it."""
+    for _ in range(2000):
+        if clock.cond.acquire(timeout=5):
+            try:
+                if box.get("entered"):
+                    return
+            finally:
+                clock.cond.release()
+        else:
+            raise AssertionError("the parked thread kept the clock's lock")
+        time.sleep(0.001)
+    raise AssertionError("the thread never parked")
+
+
 # -- a lone sleeper against pending timers --------------------------------
 # A sleeper that is the only active participant and whose deadline comes
 # strictly before every pending timer advances the clock itself; on a tie
@@ -269,21 +388,25 @@ def test_sleep_against_other_sleeper(sleep_ms, expected):
     assert woke == [50.0]
 
 
-# -- one CPU for a virtual clock's starters -------------------------------
+# -- one CPU and the batch policy for a virtual clock's starters ---------
 # No virtual-clock participant needs a second core, so the threads that
-# VirtualClock.spawn starts share one CPU; WallClock threads keep the
-# caller's set, and the caller itself is never pinned.
+# VirtualClock.spawn starts share one CPU, and each runs SCHED_BATCH so a
+# woken starter does not preempt the thread that woke it.  WallClock
+# threads keep the caller's CPUs and policy, and the caller itself is never
+# changed.
 
 needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                                     reason="no CPU affinity on this platform")
+needs_policy = pytest.mark.skipif(not hasattr(os, "SCHED_BATCH"),
+                                  reason="no SCHED_BATCH on this platform")
 
 
-def _cpus_of_a_concurrent_init(clock):
-    """The CPU set that a concurrent child's ``call`` init runs with."""
+def _seen_by_a_concurrent_init(clock, probe):
+    """What ``probe()`` returns inside a concurrent child's ``call`` init."""
     seen = []
     root = ChildSpec(id="root", module="root", kind="supervisor", children=(
         ChildSpec(id="c", module="c", start_mode="concurrent",
-                  init=InitModel.call(lambda _: seen.append(os.sched_getaffinity(0)))),
+                  init=InitModel.call(lambda _: seen.append(probe()))),
         ChildSpec(id="s", module="s", init=InitModel.sleep(1.0)),
     ))
     boot_system(DependencyGraph(), [("app", root)], clock=clock)
@@ -291,32 +414,50 @@ def _cpus_of_a_concurrent_init(clock):
     return seen[0]
 
 
+def _cpus():
+    return os.sched_getaffinity(0)
+
+
+def _policy():
+    return os.sched_getscheduler(0)
+
+
 @needs_affinity
 def test_virtual_starter_runs_on_one_cpu_and_the_caller_is_not_pinned():
-    before = os.sched_getaffinity(0)
-    cpus = _cpus_of_a_concurrent_init(VirtualClock())
+    before = _cpus()
+    cpus = _seen_by_a_concurrent_init(VirtualClock(), _cpus)
     assert len(cpus) == 1 and cpus <= before
-    assert os.sched_getaffinity(0) == before
+    assert _cpus() == before
 
 
 @needs_affinity
 def test_wall_starter_keeps_the_callers_cpus():
-    assert _cpus_of_a_concurrent_init(WallClock()) == os.sched_getaffinity(0)
+    assert _seen_by_a_concurrent_init(WallClock(), _cpus) == _cpus()
 
 
-@needs_affinity
-@pytest.mark.parametrize("platform", ["refuses", "missing"])
-def test_boot_is_correct_when_threads_cannot_be_pinned(monkeypatch, platform):
+@needs_policy
+def test_virtual_starter_runs_batch_and_the_caller_keeps_its_policy():
+    before = _policy()
+    assert _seen_by_a_concurrent_init(VirtualClock(), _policy) == os.SCHED_BATCH
+    assert _policy() == before
+
+
+@needs_policy
+def test_wall_starter_keeps_the_callers_policy():
+    assert _seen_by_a_concurrent_init(WallClock(), _policy) == _policy()
+
+
+def _boot_when_a_starter_hint_cannot_be_set(monkeypatch, hint, probe, platform):
     calls = []
     if platform == "refuses":
-        def refuse(pid, cpus):
-            calls.append(cpus)
-            raise OSError("sched_setaffinity refused")
-        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        def refuse(*args):
+            calls.append(args)
+            raise OSError(f"{hint} refused")
+        monkeypatch.setattr(os, hint, refuse)
     else:
-        monkeypatch.delattr(os, "sched_setaffinity")
-    # The starters run unpinned, with the caller's set.
-    assert _cpus_of_a_concurrent_init(VirtualClock()) == os.sched_getaffinity(0)
+        monkeypatch.delattr(os, hint)
+    # The starters run as the caller does, on its CPUs with its policy.
+    assert _seen_by_a_concurrent_init(VirtualClock(), probe) == probe()
     system = random_system(11)
     tagged = system.tagged_root(all_concurrent=True)
     result = boot_system(system.graph, [("sys", tagged)], clock=VirtualClock(),
@@ -324,3 +465,16 @@ def test_boot_is_correct_when_threads_cannot_be_pinned(monkeypatch, platform):
     assert result.report.duration_ms == critical_path(tagged, system.graph)
     assert check_trace(result.system.trace.events, system.graph, [("sys", tagged)]) == []
     assert bool(calls) == (platform == "refuses")
+
+
+@needs_affinity
+@pytest.mark.parametrize("platform", ["refuses", "missing"])
+def test_boot_is_correct_when_threads_cannot_be_pinned(monkeypatch, platform):
+    _boot_when_a_starter_hint_cannot_be_set(monkeypatch, "sched_setaffinity", _cpus, platform)
+
+
+@needs_policy
+@pytest.mark.parametrize("platform", ["refuses", "missing"])
+def test_boot_is_correct_when_starters_cannot_run_batch(monkeypatch, platform):
+    _boot_when_a_starter_hint_cannot_be_set(monkeypatch, "sched_setscheduler", _policy,
+                                            platform)
